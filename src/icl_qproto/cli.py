@@ -20,6 +20,7 @@ import numpy as np
 
 from . import harness, icl, phasespace, superdense, teleport
 from .harness import (
+    MAX_SEED,
     SEED_ENV_VAR,
     HandshakeError,
     Message2,
@@ -29,8 +30,6 @@ from .harness import (
 )
 from .phasespace import BELL_ORDER, BellState, HState, Sector
 from .statevec import ValidationError, StateVector
-
-MAX_SEED = 2**64 - 1
 
 SUITES = ("all", "phase-space", "icl", "teleport", "superdense")
 
@@ -57,11 +56,14 @@ def _complex_pair(text: str) -> complex:
             f"expected a complex number as 're,im', got {text!r}"
         )
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        real, imag = float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected decimal components in {text!r}"
         ) from None
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise argparse.ArgumentTypeError(f"components must be finite, got {text!r}")
+    return complex(real, imag)
 
 
 def _seed_value(text: str) -> int:
@@ -177,11 +179,15 @@ def parse(argv: Sequence[str]) -> Command:
         ns.message = _message_bits(ns.message)
     elif ns.command == "icl":
         try:
-            ns.state = StateVector.from_json(json.loads(ns.state))
+            raw = json.loads(ns.state)
+            ns.state = StateVector.from_json(raw)
         except json.JSONDecodeError as exc:
             raise UsageError(f"--state is not valid JSON: {exc}") from None
         except (ValidationError, ValueError) as exc:
             raise UsageError(f"--state: {exc}") from None
+        n = raw["n"]
+        if isinstance(n, bool) or n != 2:
+            raise UsageError(f'--state must be a two-qubit state ("n": 2), got n={n!r}')
     elif ns.command == "wire":
         if ns.protocol == "teleport":
             if ns.alpha is None or ns.beta is None:

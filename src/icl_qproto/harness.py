@@ -18,6 +18,14 @@ socket with an ASCII line protocol:
 Only classical bits ever cross the wire: both ends rebuild the full
 quantum state deterministically from the shared seed, so the marker
 lines stand in for the quantum channel.
+
+Alice writes two lines in a row (the payload, then ``DONE``) before she
+reads. With Nagle's algorithm on, the second write waits for the ACK of
+the first, and Bob, who has nothing to send yet, delays that ACK for
+about 40 ms. Both sockets therefore set ``TCP_NODELAY``, so a loopback
+session costs its compute, not a delayed-ACK timer. Lines are read with
+a length bound (``MAX_LINE_LENGTH``), so a peer cannot grow memory by
+never sending a newline.
 """
 
 from __future__ import annotations
@@ -32,6 +40,10 @@ from typing import Any, Callable, Iterable, TextIO
 from .statevec import ValidationError
 
 WIRE_VERSION = "v1"
+
+MAX_SEED = 2**64 - 1
+
+MAX_LINE_LENGTH = 1024  # characters, newline included; protocol lines are < 64
 
 SEED_ENV_VAR = "ICL_QPROTO_SEED"
 
@@ -238,10 +250,14 @@ def _send_line(wire, line: str) -> None:
 
 
 def _recv_line(wire) -> str:
-    line = wire.readline()
+    line = wire.readline(MAX_LINE_LENGTH)
     if line == "":
         raise TransportError("connection closed by peer")
-    return line.rstrip("\n")
+    if not line.endswith("\n"):
+        if len(line) == MAX_LINE_LENGTH:
+            raise TransportError(f"peer line longer than {MAX_LINE_LENGTH} characters")
+        raise TransportError("connection closed by peer mid-line")
+    return line[:-1]
 
 
 def _mirror_run(
@@ -292,11 +308,10 @@ def _bob_session(wire, protocol, input_qubit, message, force_outcome) -> str:
     if parts[1] != WIRE_VERSION:
         _send_line(wire, f"ERR unsupported-version {parts[1]}")
         raise HandshakeError(f"unsupported wire version {parts[1]!r}")
-    try:
-        seed = int(parts[2])
-    except ValueError:
+    if not (parts[2].isdigit() and int(parts[2]) <= MAX_SEED):
         _send_line(wire, "ERR malformed-seed")
-        raise HandshakeError(f"malformed seed in handshake: {parts[2]!r}") from None
+        raise HandshakeError(f"malformed seed in handshake: {parts[2]!r}")
+    seed = int(parts[2])
     _send_line(wire, hello)
     _, payload_line, verdict = _mirror_run(
         protocol, seed, input_qubit, message, force_outcome
@@ -350,6 +365,7 @@ def run_wire_demo(
             raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
         with sock:
             sock.settimeout(timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see module doc
             with sock.makefile("rw", encoding="ascii", newline="\n") as wire:
                 try:
                     verdict = _alice_session(
@@ -373,6 +389,7 @@ def run_wire_demo(
                 raise TransportError(f"no peer connected: {exc}") from exc
             with conn:
                 conn.settimeout(timeout)
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see module doc
                 with conn.makefile("rw", encoding="ascii", newline="\n") as wire:
                     try:
                         verdict = _bob_session(

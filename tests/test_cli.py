@@ -32,6 +32,12 @@ class TestParse:
             parse(["teleport", "--alpha", "1", "--beta", "0,0"])
         with pytest.raises(UsageError):
             parse(["teleport", "--alpha", "x,y", "--beta", "0,0"])
+        for bad in ("nan,0", "0,inf", "-inf,0", "1e309,0"):
+            with pytest.raises(UsageError):
+                parse(["teleport", f"--alpha={bad}", "--beta", "0,0"])
+        with pytest.raises(UsageError):
+            parse(["wire", "--role", "bob", "--endpoint", "h:1", "--protocol",
+                   "teleport", "--alpha", "1,0", "--beta", "nan,0"])
 
     def test_superdense_message_validated(self):
         cmd = parse(["superdense", "--message", "10"])
@@ -108,6 +114,8 @@ class TestMainExitCodes:
     def test_usage_error_is_two(self, capsys):
         assert main(["superdense", "--message", "7"]) == 2
         assert "error:" in capsys.readouterr().err
+        assert main(["teleport", "--alpha", "nan,0", "--beta", "0,0"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_io_error_is_three(self, tmp_path, capsys):
         missing = tmp_path / "absent" / "t.jsonl"
@@ -173,6 +181,12 @@ class TestSubcommands:
 
     def test_icl_rejects_bad_json(self, capsys):
         assert main(["icl", "--state", "{nope"]) == 2
+
+    @pytest.mark.parametrize("n", [1, True])
+    def test_icl_rejects_non_two_qubit_state(self, n, capsys):
+        state = json.dumps({"n": n, "amps": [[1, 0], [0, 0]]})
+        assert main(["icl", "--state", state]) == 2
+        assert "two-qubit" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -2,7 +2,9 @@
 
 import json
 import socket
+import statistics
 import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 from icl_qproto.harness import (
     ChannelEmptyError,
     ClassicalChannel,
+    MAX_LINE_LENGTH,
+    MAX_SEED,
     HandshakeError,
     Message2,
     Party,
@@ -224,6 +228,42 @@ def _run_pair(protocol: str, seed: int, **kwargs):
     return status, verdicts
 
 
+def _raw_peer_to_bob(text: str, bob_timeout: float = 10.0):
+    """Send raw text to a teleport bob; return his first reply line and his errors."""
+    ready = threading.Event()
+    ports: list[int] = []
+    errors: list[BaseException] = []
+
+    def bob():
+        try:
+            run_wire_demo(
+                "bob",
+                "127.0.0.1",
+                0,
+                "teleport",
+                input_qubit=InputQubit(1, 0),
+                ready_callback=lambda p: (ports.append(p), ready.set()),
+                timeout=bob_timeout,
+            )
+        except BaseException as exc:  # surfaced by the caller
+            errors.append(exc)
+
+    thread = threading.Thread(target=bob)
+    thread.start()
+    assert ready.wait(10)
+    with socket.create_connection(("127.0.0.1", ports[0]), timeout=10) as sock, \
+            sock.makefile("rw", encoding="ascii", newline="\n") as wire:
+        wire.write(text)
+        wire.flush()
+        try:
+            reply = wire.readline().strip()
+        except ConnectionResetError:  # bob closed with our bytes unread
+            reply = ""
+    thread.join(10)
+    assert not thread.is_alive(), "bob never finished"
+    return reply, errors
+
+
 class TestWireDemo:
     def test_teleport_verdicts_match_in_process(self):
         u = InputQubit(0.6, 0.8)
@@ -239,35 +279,40 @@ class TestWireDemo:
         assert verdicts["bob"] == "decoded=10"
         assert verdicts["alice"] == "decoded=10"
 
+    def test_max_seed_accepted(self):
+        u = InputQubit(0.6, 0.8)
+        status, verdicts = _run_pair("teleport", MAX_SEED, input_qubit=u)
+        assert status == 0
+        expected = f"fidelity={run_teleportation(u, MAX_SEED).verdict['fidelity']!r}"
+        assert verdicts == {"alice": expected, "bob": expected}
+
+    def test_session_does_not_stall_on_delayed_ack(self):
+        """Alice writes twice then reads; with Nagle on, that waits ~40 ms."""
+        u = InputQubit(0.6, 0.8)
+        elapsed = []
+        for seed in range(9):
+            start = time.perf_counter()
+            status, _ = _run_pair("teleport", seed, input_qubit=u)
+            elapsed.append(time.perf_counter() - start)
+            assert status == 0
+        assert statistics.median(elapsed) < 0.020, elapsed
+
     def test_version_mismatch_rejected(self):
-        ready = threading.Event()
-        ports: list[int] = []
-        errors: list[BaseException] = []
-
-        def bob():
-            try:
-                run_wire_demo(
-                    "bob",
-                    "127.0.0.1",
-                    0,
-                    "teleport",
-                    input_qubit=InputQubit(1, 0),
-                    ready_callback=lambda p: (ports.append(p), ready.set()),
-                )
-            except BaseException as exc:
-                errors.append(exc)
-
-        thread = threading.Thread(target=bob)
-        thread.start()
-        assert ready.wait(10)
-        with socket.create_connection(("127.0.0.1", ports[0]), timeout=10) as sock:
-            wire = sock.makefile("rw", encoding="ascii", newline="\n")
-            wire.write("HELLO v0 7\n")
-            wire.flush()
-            reply = wire.readline().strip()
-        thread.join(10)
+        reply, errors = _raw_peer_to_bob("HELLO v0 7\n")
         assert reply.startswith("ERR unsupported-version")
         assert len(errors) == 1 and isinstance(errors[0], HandshakeError)
+
+    @pytest.mark.parametrize("seed", ["-5", str(MAX_SEED + 1), "seven"])
+    def test_out_of_range_seed_rejected(self, seed):
+        reply, errors = _raw_peer_to_bob(f"HELLO v1 {seed}\n")
+        assert reply == "ERR malformed-seed"
+        assert len(errors) == 1 and isinstance(errors[0], HandshakeError)
+
+    def test_overlong_line_is_transport_error(self):
+        reply, errors = _raw_peer_to_bob("H" * (4 * MAX_LINE_LENGTH), bob_timeout=3.0)
+        assert reply == ""
+        assert len(errors) == 1 and isinstance(errors[0], TransportError)
+        assert f"longer than {MAX_LINE_LENGTH}" in str(errors[0])
 
     def test_unreachable_peer_is_transport_error(self):
         with pytest.raises(TransportError):
