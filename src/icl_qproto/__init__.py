@@ -7,23 +7,20 @@ seeded, replayable protocol traces.
 """
 
 from .harness import (
-    ChannelEmptyError,
-    ClassicalChannel,
     HandshakeError,
     Message2,
-    Party,
     ProtocolTrace,
     TraceEvent,
     TransportError,
-    channel_recv,
-    channel_send,
     emit_trace,
     run_wire_demo,
     validate_trace,
 )
 from .icl import IclClass, IclDiagram, IclKind, apply_sigma_z, classify, diagram_to_state, extend_sigma_x, state_to_diagram
 from .phasespace import (
+    BELL_BASIS,
     BELL_ORDER,
+    PAULI_TABLE,
     BellState,
     BlochQuartet,
     HState,
@@ -48,6 +45,7 @@ from .statevec import (
     SIGMA_X,
     SIGMA_Z,
     DimensionError,
+    ProjectiveBasis,
     RandomSource,
     StateVector,
     ValidationError,
@@ -68,6 +66,7 @@ from .teleport import (
     InputQubit,
     TeleportDecomposition,
     TeleportEntry,
+    UA_BELL_BASIS,
     bell_measure,
     correction_for,
     decompose,

@@ -29,7 +29,16 @@ from .harness import (
     emit_trace,
 )
 from .phasespace import BELL_ORDER, BellState, HState, Sector
-from .statevec import ValidationError, StateVector
+from .statevec import (
+    SIGMA_X,
+    SIGMA_Z,
+    StateVector,
+    ValidationError,
+    apply_1q,
+    branch_probabilities,
+    overlap,
+    tensor,
+)
 
 SUITES = ("all", "phase-space", "icl", "teleport", "superdense")
 
@@ -278,8 +287,6 @@ def _check_phase_space() -> list[CheckResult]:
 
 
 def _check_icl() -> list[CheckResult]:
-    from .statevec import SIGMA_X, SIGMA_Z, apply_1q, overlap
-
     results = []
     diagram = icl.IclDiagram(2, Sector.EVEN, +1)
     failures = 0.0
@@ -321,8 +328,6 @@ def _check_icl() -> list[CheckResult]:
 
 
 def _check_teleport() -> list[CheckResult]:
-    from .statevec import tensor
-
     results = []
     inputs = _random_inputs(100)
     dev = 0.0
@@ -332,13 +337,10 @@ def _check_teleport() -> list[CheckResult]:
         dev = max(dev, float(np.max(np.abs(rebuilt.amps - joint.amps))))
     results.append(CheckResult("decomposition-reconstruction", dev, 1e-10))
 
-    from .statevec import branch_probabilities
-    from .teleport import _UA_PROJECTORS
-
     dev = 0.0
     for u in inputs[:25]:
         joint = tensor(u.state(), BellState.PHI_PLUS.vector())
-        probs = branch_probabilities(joint, _UA_PROJECTORS)
+        probs = branch_probabilities(joint, teleport.UA_BELL_BASIS)
         dev = max(dev, float(np.max(np.abs(probs - 0.25))))
     results.append(CheckResult("branch-probabilities", dev, 1e-12))
 
@@ -359,8 +361,6 @@ def _check_teleport() -> list[CheckResult]:
 
 
 def _check_superdense() -> list[CheckResult]:
-    from .statevec import overlap
-
     results = []
     messages = [Message2(b1, b0) for b1 in (0, 1) for b0 in (0, 1)]
     wrong = sum(
@@ -384,11 +384,9 @@ def _check_superdense() -> list[CheckResult]:
             dev = max(dev, abs(value - 0.5))
     results.append(CheckResult("receiver-marginal", dev, 1e-12))
 
-    from .statevec import branch_probabilities
-
     dev = 0.0
     for state in encoded:
-        probs = branch_probabilities(state, phasespace.bell_projectors())
+        probs = branch_probabilities(state, phasespace.BELL_BASIS)
         dev = max(dev, abs(1.0 - float(np.max(probs))))
     results.append(CheckResult("decode-certainty", dev, 1e-12))
     return results
@@ -405,10 +403,7 @@ _SUITE_CHECKS = {
 def verify(suite: str) -> list[CheckResult]:
     """Run one identity suite (or all of them) and return the results."""
     if suite == "all":
-        results = []
-        for name in ("phase-space", "icl", "teleport", "superdense"):
-            results.extend(_SUITE_CHECKS[name]())
-        return results
+        return [result for check in _SUITE_CHECKS.values() for result in check()]
     if suite not in _SUITE_CHECKS:
         raise UsageError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)})")
     return _SUITE_CHECKS[suite]()

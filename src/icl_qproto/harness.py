@@ -1,10 +1,8 @@
-"""Two-party protocol plumbing: classical channel, parties, traces, wire demo.
+"""Protocol records and transport: two-bit messages, traces, the TCP wire demo.
 
-The in-process pieces are pure values. A ``ClassicalChannel`` is an
-ordered, lossless, exactly-once queue of two-bit messages from Alice to
-Bob; sending or receiving returns a new channel. A ``ProtocolTrace`` is
-the replayable record of one protocol run: with the same protocol,
-parameters, and seed, the emitted JSON-lines bytes are identical.
+A ``ProtocolTrace`` is the replayable record of one protocol run: with
+the same protocol, parameters, and seed, the emitted JSON-lines bytes
+are identical.
 
 The wire demo runs the same protocols between two processes over a TCP
 socket with an ASCII line protocol:
@@ -25,7 +23,9 @@ the first, and Bob, who has nothing to send yet, delays that ACK for
 about 40 ms. Both sockets therefore set ``TCP_NODELAY``, so a loopback
 session costs its compute, not a delayed-ACK timer. Lines are read with
 a length bound (``MAX_LINE_LENGTH``), so a peer cannot grow memory by
-never sending a newline.
+never sending a newline. Whatever Bob rejects (a bad handshake, an
+over-long or non-ASCII line, a diverged payload or verdict), he first
+answers ``ERR <reason>``, as far as the connection still allows.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ MAX_LINE_LENGTH = 1024  # characters, newline included; protocol lines are < 64
 SEED_ENV_VAR = "ICL_QPROTO_SEED"
 
 
-class ChannelEmptyError(RuntimeError):
-    """Receive on an empty channel would block; the protocols are turn-based."""
-
-
 class TraceWriteError(OSError):
     """A trace sink could not be written."""
 
@@ -61,7 +57,14 @@ class HandshakeError(RuntimeError):
 
 
 class TransportError(RuntimeError):
-    """The wire connection failed or closed mid-protocol."""
+    """The wire connection failed or closed mid-protocol.
+
+    ``reason`` is the one-word code Bob sends back in his ``ERR`` line.
+    """
+
+    def __init__(self, message: str, reason: str = "transport-failure"):
+        super().__init__(message)
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -87,57 +90,6 @@ class Message2:
 
     def __str__(self) -> str:
         return f"{self.b1}{self.b0}"
-
-
-@dataclass(frozen=True)
-class ClassicalChannel:
-    """FIFO, lossless, exactly-once queue of ``Message2`` from Alice to Bob."""
-
-    queue: tuple[Message2, ...] = ()
-
-
-def channel_send(channel: ClassicalChannel, bits: Message2) -> ClassicalChannel:
-    """Append a message; returns the new channel state."""
-    return ClassicalChannel(channel.queue + (bits,))
-
-
-def channel_recv(channel: ClassicalChannel) -> tuple[Message2, ClassicalChannel]:
-    """Pop the head message; empty channels raise instead of blocking."""
-    if not channel.queue:
-        raise ChannelEmptyError("receive on empty channel would block")
-    return channel.queue[0], ClassicalChannel(channel.queue[1:])
-
-
-@dataclass(frozen=True)
-class Party:
-    """One protocol participant: a name, held qubit indexes, a script stage."""
-
-    name: str
-    held_qubits: frozenset[int]
-    stage: int = 0
-
-    def advance(self, stage: int) -> "Party":
-        """Move to a later script stage; stages only ever increase."""
-        if stage <= self.stage:
-            raise ValidationError(
-                f"{self.name} cannot move from stage {self.stage} back to {stage}"
-            )
-        return Party(self.name, self.held_qubits, stage)
-
-    def holds(self, qubit: int) -> bool:
-        return qubit in self.held_qubits
-
-
-def transfer_qubit(sender: Party, receiver: Party, qubit: int) -> tuple[Party, Party]:
-    """Move a qubit between parties; each qubit is held by exactly one party."""
-    if not sender.holds(qubit):
-        raise ValidationError(f"{sender.name} does not hold qubit {qubit}")
-    if receiver.holds(qubit):
-        raise ValidationError(f"{receiver.name} already holds qubit {qubit}")
-    return (
-        Party(sender.name, sender.held_qubits - {qubit}, sender.stage),
-        Party(receiver.name, receiver.held_qubits | {qubit}, receiver.stage),
-    )
 
 
 @dataclass(frozen=True)
@@ -250,14 +202,35 @@ def _send_line(wire, line: str) -> None:
 
 
 def _recv_line(wire) -> str:
-    line = wire.readline(MAX_LINE_LENGTH)
+    try:
+        line = wire.readline(MAX_LINE_LENGTH)
+    except UnicodeDecodeError as exc:
+        raise TransportError(f"peer sent a non-ASCII byte: {exc}", "non-ascii") from exc
     if line == "":
-        raise TransportError("connection closed by peer")
+        raise TransportError("connection closed by peer", "closed")
     if not line.endswith("\n"):
         if len(line) == MAX_LINE_LENGTH:
-            raise TransportError(f"peer line longer than {MAX_LINE_LENGTH} characters")
-        raise TransportError("connection closed by peer mid-line")
+            raise TransportError(
+                f"peer line longer than {MAX_LINE_LENGTH} characters", "line-too-long"
+            )
+        raise TransportError("connection closed by peer mid-line", "closed")
     return line[:-1]
+
+
+def _reject(wire, reason: str) -> None:
+    """Tell the peer ``ERR <reason>`` if the connection still takes it."""
+    try:
+        _send_line(wire, f"ERR {reason}")
+    except OSError:
+        pass  # the peer is gone; the caller's exception says what went wrong
+
+
+def _bob_recv(wire) -> str:
+    try:
+        return _recv_line(wire)
+    except TransportError as exc:
+        _reject(wire, exc.reason)
+        raise
 
 
 def _mirror_run(
@@ -300,34 +273,48 @@ def _alice_session(wire, protocol, seed, input_qubit, message, force_outcome) ->
 
 
 def _bob_session(wire, protocol, input_qubit, message, force_outcome) -> str:
-    hello = _recv_line(wire)
+    hello = _bob_recv(wire)
     parts = hello.split()
     if len(parts) != 3 or parts[0] != "HELLO":
-        _send_line(wire, "ERR malformed-handshake")
+        _reject(wire, "malformed-handshake")
         raise HandshakeError(f"malformed handshake line: {hello!r}")
     if parts[1] != WIRE_VERSION:
-        _send_line(wire, f"ERR unsupported-version {parts[1]}")
+        _reject(wire, f"unsupported-version {parts[1]}")
         raise HandshakeError(f"unsupported wire version {parts[1]!r}")
     if not (parts[2].isdigit() and int(parts[2]) <= MAX_SEED):
-        _send_line(wire, "ERR malformed-seed")
+        _reject(wire, "malformed-seed")
         raise HandshakeError(f"malformed seed in handshake: {parts[2]!r}")
     seed = int(parts[2])
     _send_line(wire, hello)
     _, payload_line, verdict = _mirror_run(
         protocol, seed, input_qubit, message, force_outcome
     )
-    got = _recv_line(wire)
+    got = _bob_recv(wire)
     if got != payload_line:
+        _reject(wire, "payload-diverged")
         raise ValidationError(
             f"channel payload diverged: got {got!r}, expected {payload_line!r}"
         )
-    peer_done = _recv_line(wire)
+    peer_done = _bob_recv(wire)
     if peer_done != f"DONE {verdict}":
+        _reject(wire, "verdict-mismatch")
         raise ValidationError(
             f"verdicts disagree: computed {verdict!r}, peer said {peer_done!r}"
         )
     _send_line(wire, f"DONE {verdict}")
     return verdict
+
+
+def _converse(sock: socket.socket, timeout: float, session: Callable[..., str], *args) -> str:
+    """Run one side's session over a connected socket, then close it."""
+    with sock:
+        sock.settimeout(timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see module doc
+        with sock.makefile("rw", encoding="ascii", newline="\n") as wire:
+            try:
+                return session(wire, *args)
+            except OSError as exc:
+                raise TransportError(f"wire failure: {exc}") from exc
 
 
 def run_wire_demo(
@@ -363,17 +350,10 @@ def run_wire_demo(
             sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
-        with sock:
-            sock.settimeout(timeout)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see module doc
-            with sock.makefile("rw", encoding="ascii", newline="\n") as wire:
-                try:
-                    verdict = _alice_session(
-                        wire, protocol, seed if seed is not None else 0,
-                        input_qubit, message, force_outcome,
-                    )
-                except OSError as exc:
-                    raise TransportError(f"wire failure: {exc}") from exc
+        verdict = _converse(
+            sock, timeout, _alice_session,
+            protocol, seed if seed is not None else 0, input_qubit, message, force_outcome,
+        )
     else:
         try:
             listener = socket.create_server((host, port))
@@ -387,16 +367,9 @@ def run_wire_demo(
                 conn, _ = listener.accept()
             except OSError as exc:
                 raise TransportError(f"no peer connected: {exc}") from exc
-            with conn:
-                conn.settimeout(timeout)
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see module doc
-                with conn.makefile("rw", encoding="ascii", newline="\n") as wire:
-                    try:
-                        verdict = _bob_session(
-                            wire, protocol, input_qubit, message, force_outcome
-                        )
-                    except OSError as exc:
-                        raise TransportError(f"wire failure: {exc}") from exc
+            verdict = _converse(
+                conn, timeout, _bob_session, protocol, input_qubit, message, force_outcome
+            )
 
     if verdict_callback is not None:
         verdict_callback(verdict)

@@ -26,10 +26,15 @@ import numpy as np
 from .statevec import (
     ATOL,
     HADAMARD,
+    IDENTITY2,
+    SIGMA_X,
+    SIGMA_Z,
     DimensionError,
+    ProjectiveBasis,
     StateVector,
     ValidationError,
     basis_state,
+    readonly,
 )
 
 # exp(i * pi/2 * m) for m = 0..3, exact in doubles
@@ -64,10 +69,9 @@ def dft4_inverse() -> np.ndarray:
     return _DFT4.conj().copy()
 
 
-_DFT4 = np.array(
-    [[_QUARTER_TURNS[(n * r) % 4] for r in range(4)] for n in range(4)]
-) / 2.0
-_DFT4.setflags(write=False)
+_DFT4 = readonly(
+    np.array([[_QUARTER_TURNS[(n * r) % 4] for r in range(4)] for n in range(4)]) / 2.0
+)
 
 
 def wannier_basis() -> tuple[StateVector, StateVector, StateVector, StateVector]:
@@ -222,20 +226,26 @@ def contract_bell(sector: Sector) -> tuple[BellState, BellState]:
     The even sector gives (phi+, phi-) from {|00>, |11>}; the odd sector
     gives (psi+, psi-) from {|01>, |10>}, with psi- = (|01> - |10>)/sqrt(2).
     """
-    if sector is Sector.EVEN:
-        return BellState.PHI_PLUS, BellState.PHI_MINUS
-    return BellState.PSI_PLUS, BellState.PSI_MINUS
+    return tuple(tag for tag in BELL_ORDER if tag.sector is sector)  # type: ignore[return-value]
 
 
-def bell_projectors() -> tuple[np.ndarray, ...]:
-    """Rank-1 projectors onto the Bell states, in ``BELL_ORDER``."""
-    out = []
-    for tag in BELL_ORDER:
-        v = tag.vector().amps
-        p = np.outer(v, v.conj())
-        p.setflags(write=False)
-        out.append(p)
-    return tuple(out)
+BELL_BASIS = ProjectiveBasis(
+    [np.outer(tag.vector().amps, tag.vector().amps.conj()) for tag in BELL_ORDER]
+)
+
+# The local Pauli on qubit 1 that turns phi+ into each Bell state. It is
+# superdense coding's encoder and teleportation's correction alike.
+PAULI_TABLE = {
+    BellState.PHI_PLUS: ("identity", IDENTITY2),
+    BellState.PHI_MINUS: ("sigma_z", SIGMA_Z),
+    BellState.PSI_PLUS: ("sigma_x", SIGMA_X),
+    BellState.PSI_MINUS: ("sigma_z*sigma_x", readonly(SIGMA_Z @ SIGMA_X)),
+}
+
+
+def bell_projectors() -> ProjectiveBasis:
+    """Rank-1 projectors onto the Bell states, in ``BELL_ORDER``, checked once."""
+    return BELL_BASIS
 
 
 class HState(Enum):

@@ -37,16 +37,17 @@ class DimensionError(ValueError):
     """Operands have incompatible or unsupported dimensions."""
 
 
-def _readonly(values) -> np.ndarray:
+def readonly(values) -> np.ndarray:
+    """A read-only complex copy of ``values``, for tables shared package-wide."""
     arr = np.array(values, dtype=complex)
     arr.setflags(write=False)
     return arr
 
 
-IDENTITY2 = _readonly([[1, 0], [0, 1]])
-SIGMA_X = _readonly([[0, 1], [1, 0]])
-SIGMA_Z = _readonly([[1, 0], [0, -1]])
-HADAMARD = _readonly(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+IDENTITY2 = readonly([[1, 0], [0, 1]])
+SIGMA_X = readonly([[0, 1], [1, 0]])
+SIGMA_Z = readonly([[1, 0], [0, -1]])
+HADAMARD = readonly(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
 def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
@@ -219,74 +220,88 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector, atol: float = ATOL)
     return abs(abs(overlap(a, b)) - 1.0) <= atol
 
 
-def _projector_stack(projectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    try:
-        stack = np.stack([np.asarray(p, dtype=complex) for p in projectors])
-    except ValueError as exc:
-        raise DimensionError(f"projectors have inconsistent shapes: {exc}") from exc
-    if stack.ndim != 3 or stack.shape[1:] != (dim, dim):
+@dataclass(frozen=True, eq=False)
+class ProjectiveBasis:
+    """Mutually orthogonal projectors that sum to the identity.
+
+    ``ProjectiveBasis(projectors)`` takes any sequence of equal square
+    matrices. They are checked once, here, and held as one read-only
+    ``(k, dim, dim)`` stack, so a basis built once can be measured
+    against any number of times without re-checking it. Iterating it
+    yields the individual projectors.
+    """
+
+    stack: np.ndarray
+
+    def __post_init__(self):
+        try:
+            stack = np.stack([np.asarray(p, dtype=complex) for p in self.stack])
+        except ValueError as exc:
+            raise DimensionError(f"projectors have inconsistent shapes: {exc}") from exc
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise DimensionError(
+                f"projectors must be square matrices, got shape {stack.shape[1:]}"
+            )
+        dim = stack.shape[-1]
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > ATOL:
+            raise ValidationError("projectors do not sum to the identity")
+        products = np.einsum("aij,bjk->abik", stack, stack)
+        expected = np.zeros_like(products)
+        idx = np.arange(stack.shape[0])
+        expected[idx, idx] = stack
+        if np.max(np.abs(products - expected)) > ATOL:
+            raise ValidationError("projectors are not mutually orthogonal idempotents")
+        object.__setattr__(self, "stack", readonly(stack))
+
+    def __iter__(self):
+        return iter(self.stack)
+
+
+def _probabilities(
+    state: StateVector, projectors: "ProjectiveBasis | Sequence[np.ndarray]"
+) -> tuple[ProjectiveBasis, np.ndarray]:
+    basis = projectors if isinstance(projectors, ProjectiveBasis) else ProjectiveBasis(projectors)
+    dim = 2**state.qubit_count
+    if basis.stack.shape[-1] != dim:
         raise DimensionError(
-            f"projectors must be {dim}x{dim} matrices, got shape {stack.shape[1:]}"
+            f"projectors must be {dim}x{dim} matrices, got shape {basis.stack.shape[1:]}"
         )
-    return stack
-
-
-def _require_resolution_of_identity(stack: np.ndarray, atol: float = ATOL) -> None:
-    dim = stack.shape[-1]
-    total = stack.sum(axis=0)
-    if np.max(np.abs(total - np.eye(dim))) > atol:
-        raise ValidationError("projectors do not sum to the identity")
-    products = np.einsum("aij,bjk->abik", stack, stack)
-    expected = np.zeros_like(products)
-    idx = np.arange(stack.shape[0])
-    expected[idx, idx] = stack
-    if np.max(np.abs(products - expected)) > atol:
-        raise ValidationError("projectors are not mutually orthogonal idempotents")
+    probs = np.einsum("i,kij,j->k", state.amps.conj(), basis.stack, state.amps).real
+    return basis, np.clip(probs, 0.0, None)
 
 
 def branch_probabilities(
-    state: StateVector, projectors: Sequence[np.ndarray]
+    state: StateVector, projectors: "ProjectiveBasis | Sequence[np.ndarray]"
 ) -> np.ndarray:
     """Outcome probabilities ||P_k psi||^2 for a projective resolution.
 
-    Validates that the projectors are mutually orthogonal and sum to the
-    identity before computing anything.
+    A plain sequence of projectors is checked as a ``ProjectiveBasis``
+    on every call; a ``ProjectiveBasis`` was checked when it was built.
     """
-    stack = _projector_stack(projectors, 2**state.qubit_count)
-    _require_resolution_of_identity(stack)
-    probs = np.einsum("i,kij,j->k", state.amps.conj(), stack, state.amps).real
-    return np.clip(probs, 0.0, None)
+    return _probabilities(state, projectors)[1]
 
 
 def measure_projective(
-    state: StateVector, projectors: Sequence[np.ndarray], rand: RandomSource
+    state: StateVector,
+    projectors: "ProjectiveBasis | Sequence[np.ndarray]",
+    rand: RandomSource,
 ) -> tuple[int, StateVector, float]:
     """Projective measurement: sample an outcome, collapse, renormalize.
 
     Consumes exactly one uniform draw from ``rand``. Returns the outcome
     index, the collapsed (renormalized) state, and the outcome's exact
-    probability.
+    probability. ``projectors`` are checked as in :func:`branch_probabilities`.
     """
-    stack = _projector_stack(projectors, 2**state.qubit_count)
-    _require_resolution_of_identity(stack)
-    probs = np.clip(
-        np.einsum("i,kij,j->k", state.amps.conj(), stack, state.amps).real, 0.0, None
-    )
+    basis, probs = _probabilities(state, projectors)
     r = rand.uniform()
     k = int(np.searchsorted(np.cumsum(probs), r, side="right"))
     k = min(k, len(probs) - 1)
     if probs[k] <= 0.0:  # float-boundary landing on a zero-width branch
         k = int(np.argmax(probs))
-    collapsed = StateVector(state.qubit_count, (stack[k] @ state.amps) / np.sqrt(probs[k]))
+    collapsed = StateVector(state.qubit_count, (basis.stack[k] @ state.amps) / np.sqrt(probs[k]))
     return k, collapsed, float(probs[k])
 
 
 def computational_projectors(qubit_count: int) -> list[np.ndarray]:
     """Rank-1 projectors onto every computational basis state."""
-    dim = 2**qubit_count
-    out = []
-    for i in range(dim):
-        p = np.zeros((dim, dim), dtype=complex)
-        p[i, i] = 1.0
-        out.append(p)
-    return out
+    return [np.diag(row) for row in np.eye(2**qubit_count, dtype=complex)]

@@ -16,18 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harness import Message2, Party, ProtocolTrace, TraceEvent, transfer_qubit
-from .phasespace import BELL_ORDER, BellState, bell_projectors
-from .statevec import (
-    ATOL,
-    IDENTITY2,
-    SIGMA_X,
-    SIGMA_Z,
-    DimensionError,
-    StateVector,
-    apply_1q,
-    branch_probabilities,
-)
+from .harness import Message2, ProtocolTrace, TraceEvent
+from .phasespace import BELL_BASIS, BELL_ORDER, PAULI_TABLE, BellState
+from .statevec import ATOL, DimensionError, StateVector, apply_1q, branch_probabilities
 
 
 class ResourceError(ValueError):
@@ -38,34 +29,9 @@ class DecodeError(ValueError):
     """The received state is not a Bell state, so it carries no message."""
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    m.setflags(write=False)
-    return m
-
-
-_ENCODERS = {
-    BellState.PHI_PLUS: IDENTITY2,
-    BellState.PHI_MINUS: SIGMA_Z,
-    BellState.PSI_PLUS: SIGMA_X,
-    BellState.PSI_MINUS: _frozen(SIGMA_Z @ SIGMA_X),
-}
-
-_ENCODER_NAMES = {
-    BellState.PHI_PLUS: "identity",
-    BellState.PHI_MINUS: "sigma_z",
-    BellState.PSI_PLUS: "sigma_x",
-    BellState.PSI_MINUS: "sigma_z*sigma_x",
-}
-
-
 def encoding_table() -> dict[Message2, tuple[np.ndarray, BellState]]:
     """Message -> (Alice's unitary, resulting Bell state); a bijection."""
-    return {Message2(*tag.bits): (_ENCODERS[tag], tag) for tag in BELL_ORDER}
-
-
-def unitary_name(tag: BellState) -> str:
-    return _ENCODER_NAMES[tag]
+    return {Message2(*tag.bits): (PAULI_TABLE[tag][1], tag) for tag in BELL_ORDER}
 
 
 def encode(message: Message2, shared: StateVector | None = None) -> StateVector:
@@ -74,8 +40,21 @@ def encode(message: Message2, shared: StateVector | None = None) -> StateVector:
         shared = BellState.PHI_PLUS.vector()
     if shared.qubit_count != 2 or not shared.isclose(BellState.PHI_PLUS.vector()):
         raise ResourceError("shared resource must be the canonical phi+ pair")
-    unitary, _ = encoding_table()[message]
+    _, unitary = PAULI_TABLE[BellState.from_bits(*message.bits)]
     return apply_1q(shared, unitary, 1)
+
+
+def _bell_branch(state: StateVector) -> tuple[BellState, float]:
+    """The Bell state carrying all the weight of ``state``, and that weight."""
+    if state.qubit_count != 2:
+        raise DimensionError("decode expects a two-qubit state")
+    probs = branch_probabilities(state, BELL_BASIS)
+    k = int(np.argmax(probs))
+    if probs[k] < 1.0 - ATOL:
+        raise DecodeError(
+            f"state is not a Bell state: best branch probability {probs[k]!r}"
+        )
+    return BELL_ORDER[k], float(probs[k])
 
 
 def decode(state: StateVector) -> Message2:
@@ -85,15 +64,7 @@ def decode(state: StateVector) -> Message2:
     valid input puts weight 1 on exactly one branch, so no random draw
     is needed. Anything else is rejected.
     """
-    if state.qubit_count != 2:
-        raise DimensionError("decode expects a two-qubit state")
-    probs = branch_probabilities(state, bell_projectors())
-    k = int(np.argmax(probs))
-    if probs[k] < 1.0 - ATOL:
-        raise DecodeError(
-            f"state is not a Bell state: best branch probability {probs[k]!r}"
-        )
-    return Message2(*BELL_ORDER[k].bits)
+    return Message2(*_bell_branch(state)[0].bits)
 
 
 def run_superdense(message: Message2) -> ProtocolTrace:
@@ -102,32 +73,21 @@ def run_superdense(message: Message2) -> ProtocolTrace:
     The run is deterministic (no random measurement anywhere), so the
     trace carries a null seed.
     """
-    alice = Party("alice", frozenset({1}))
-    bob = Party("bob", frozenset({2}))
-
     resource = BellState.PHI_PLUS.vector()
-    _, target_tag = encoding_table()[message]
+    unitary_name, _ = PAULI_TABLE[BellState.from_bits(*message.bits)]
     encoded = encode(message, resource)
-    alice = alice.advance(1)
-
-    alice, bob = transfer_qubit(alice, bob, 1)
-    alice = alice.advance(2)
-
-    probs = branch_probabilities(encoded, bell_projectors())
-    k = int(np.argmax(probs))
-    decoded = decode(encoded)
-    bob = bob.advance(1)
+    outcome, prob = _bell_branch(encoded)
 
     events = (
         TraceEvent(1, "system", "share-bell-pair",
                    {"pair": "phi+", "state": resource.to_json()}),
         TraceEvent(2, "alice", "encode",
-                   {"message": str(message), "unitary": unitary_name(target_tag),
+                   {"message": str(message), "unitary": unitary_name,
                     "state": encoded.to_json()}),
         TraceEvent(3, "alice", "send-qubit",
                    {"qubit": 1, "from": "alice", "to": "bob", "marker": "QUBIT-SENT"}),
         TraceEvent(4, "bob", "bell-measurement",
-                   {"outcome": BELL_ORDER[k].value, "probability": float(probs[k])}),
-        TraceEvent(5, "bob", "verdict", {"decoded": str(decoded)}),
+                   {"outcome": outcome.value, "probability": prob}),
+        TraceEvent(5, "bob", "verdict", {"decoded": str(Message2(*outcome.bits))}),
     )
     return ProtocolTrace("superdense", None, events)

@@ -23,22 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import (
-    ClassicalChannel,
-    Message2,
-    Party,
-    ProtocolTrace,
-    TraceEvent,
-    channel_recv,
-    channel_send,
-)
-from .phasespace import BELL_ORDER, BellState, bell_projectors
+from .harness import Message2, ProtocolTrace, TraceEvent
+from .phasespace import BELL_BASIS, BELL_ORDER, PAULI_TABLE, BellState
 from .statevec import (
     ATOL,
     IDENTITY2,
-    SIGMA_X,
-    SIGMA_Z,
     DimensionError,
+    ProjectiveBasis,
     RandomSource,
     StateVector,
     ValidationError,
@@ -50,36 +41,8 @@ from .statevec import (
 )
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    m.setflags(write=False)
-    return m
-
-
-# Bob's conditional state on each branch is this matrix applied to (alpha, beta).
-CONDITIONAL_MATRICES = {
-    BellState.PHI_PLUS: IDENTITY2,
-    BellState.PHI_MINUS: SIGMA_Z,
-    BellState.PSI_PLUS: SIGMA_X,
-    BellState.PSI_MINUS: _frozen(SIGMA_X @ SIGMA_Z),
-}
-
-CORRECTIONS = {
-    BellState.PHI_PLUS: IDENTITY2,
-    BellState.PHI_MINUS: SIGMA_Z,
-    BellState.PSI_PLUS: SIGMA_X,
-    BellState.PSI_MINUS: _frozen(SIGMA_Z @ SIGMA_X),
-}
-
-CORRECTION_NAMES = {
-    BellState.PHI_PLUS: "identity",
-    BellState.PHI_MINUS: "sigma_z",
-    BellState.PSI_PLUS: "sigma_x",
-    BellState.PSI_MINUS: "sigma_z*sigma_x",
-}
-
 # Bell projectors on (U, A) extended with identity on B.
-_UA_PROJECTORS = tuple(_frozen(np.kron(p, IDENTITY2)) for p in bell_projectors())
+UA_BELL_BASIS = ProjectiveBasis([np.kron(p, IDENTITY2) for p in BELL_BASIS])
 
 
 @dataclass(frozen=True)
@@ -95,10 +58,6 @@ class InputQubit:
         sumsq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if not np.isfinite(sumsq) or abs(sumsq - 1.0) > ATOL:
             raise ValidationError(f"input qubit is not normalized: |a|^2+|b|^2 = {sumsq!r}")
-
-    @property
-    def pair(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta], dtype=complex)
 
     def state(self) -> StateVector:
         return single_qubit(self.alpha, self.beta)
@@ -116,8 +75,7 @@ class BellOutcome:
 
     @property
     def bit_string(self) -> str:
-        b1, b0 = self.bits
-        return f"{b1}{b0}"
+        return str(self.message())
 
     def message(self) -> Message2:
         return Message2(*self.bits)
@@ -153,12 +111,16 @@ class TeleportDecomposition:
 
 
 def decompose(u: InputQubit) -> TeleportDecomposition:
-    """Expand U (x) phi+ over the Bell basis of (U, A)."""
+    """Expand U (x) phi+ over the Bell basis of (U, A).
+
+    Bob's conditional state on each branch is the inverse (the conjugate
+    transpose) of that branch's correction applied to (alpha, beta).
+    """
     entries = tuple(
         TeleportEntry(
             tag,
-            StateVector(1, CONDITIONAL_MATRICES[tag] @ u.pair),
-            CORRECTIONS[tag],
+            StateVector(1, correction_for(tag).conj().T @ u.state().amps),
+            correction_for(tag),
         )
         for tag in BELL_ORDER
     )
@@ -168,7 +130,7 @@ def decompose(u: InputQubit) -> TeleportDecomposition:
 def correction_for(outcome: "BellOutcome | BellState") -> np.ndarray:
     """Bob's correction unitary for a Bell outcome."""
     tag = outcome.tag if isinstance(outcome, BellOutcome) else outcome
-    return CORRECTIONS[tag]
+    return PAULI_TABLE[tag][1]
 
 
 def _bell_measure_full(
@@ -180,14 +142,14 @@ def _bell_measure_full(
         raise DimensionError("Bell measurement expects the 3-qubit joint state (U, A, B)")
     if forced is not None:
         k = BELL_ORDER.index(forced)
-        prob = float(branch_probabilities(state, _UA_PROJECTORS)[k])
+        prob = float(branch_probabilities(state, UA_BELL_BASIS)[k])
         if prob <= ATOL:
             raise ValidationError(f"cannot force outcome {forced}: branch probability {prob!r}")
-        collapsed = StateVector(3, (_UA_PROJECTORS[k] @ state.amps) / np.sqrt(prob))
+        collapsed = StateVector(3, (UA_BELL_BASIS.stack[k] @ state.amps) / np.sqrt(prob))
         return BellOutcome(forced), collapsed, prob
     if rand is None:
         raise ValidationError("a RandomSource is required when no outcome is forced")
-    k, collapsed, prob = measure_projective(state, _UA_PROJECTORS, rand)
+    k, collapsed, prob = measure_projective(state, UA_BELL_BASIS, rand)
     return BellOutcome(BELL_ORDER[k]), collapsed, prob
 
 
@@ -228,28 +190,13 @@ def run_teleportation(
     crossing the channel, Bob's correction, and the final fidelity.
     """
     rand = RandomSource(seed)
-    alice = Party("alice", frozenset({1, 2}))
-    bob = Party("bob", frozenset({3}))
-    channel = ClassicalChannel()
-
     resource = BellState.PHI_PLUS.vector()
     joint = tensor(u.state(), resource)
-    alice = alice.advance(1)
-
     outcome, collapsed, prob = _bell_measure_full(joint, rand, force_outcome)
-    alice = alice.advance(2)
-
-    channel = channel_send(channel, outcome.message())
-    alice = alice.advance(3)
-
-    received, channel = channel_recv(channel)
-    received_tag = BellState.from_bits(received.b1, received.b0)
-    bob_before = extract_bob_state(collapsed, received_tag)
-    bob_after = StateVector(1, CORRECTIONS[received_tag] @ bob_before.amps)
-    bob = bob.advance(1)
-
+    correction_name, correction = PAULI_TABLE[outcome.tag]
+    bob_before = extract_bob_state(collapsed, outcome.tag)
+    bob_after = StateVector(1, correction @ bob_before.amps)
     fidelity = abs(overlap(u.state(), bob_after)) ** 2
-    bob = bob.advance(2)
 
     events = (
         TraceEvent(1, "system", "share-bell-pair",
@@ -259,9 +206,9 @@ def run_teleportation(
         TraceEvent(3, "alice", "bell-measurement",
                    {"outcome": outcome.tag.value, "bits": outcome.bit_string,
                     "probability": prob}),
-        TraceEvent(4, "alice", "send-bits", {"bits": str(received)}),
+        TraceEvent(4, "alice", "send-bits", {"bits": str(outcome.message())}),
         TraceEvent(5, "bob", "apply-correction",
-                   {"correction": CORRECTION_NAMES[received_tag],
+                   {"correction": correction_name,
                     "before": bob_before.to_json(), "state": bob_after.to_json()}),
         TraceEvent(6, "bob", "verdict", {"fidelity": fidelity}),
     )

@@ -31,7 +31,7 @@ from icl_qproto.statevec import (
     tensor,
 )
 from icl_qproto.superdense import decode, encode
-from icl_qproto.teleport import _UA_PROJECTORS, InputQubit, run_teleportation
+from icl_qproto.teleport import UA_BELL_BASIS, InputQubit, run_teleportation
 from oracles import BELL, classify_oracle, random_state
 
 
@@ -92,7 +92,7 @@ def test_05_teleport_reconstruction():
         joint = tensor(u.state(), BellState.PHI_PLUS.vector())
         rebuilt = decompose(u).reconstruct()
         recon_dev = max(recon_dev, float(np.max(np.abs(rebuilt.amps - joint.amps))))
-        probs = branch_probabilities(joint, _UA_PROJECTORS)
+        probs = branch_probabilities(joint, UA_BELL_BASIS)
         prob_dev = max(prob_dev, float(np.max(np.abs(probs - 0.25))))
     passed = recon_dev < 1e-10 and prob_dev < 1e-12
     _report(

@@ -1,11 +1,14 @@
 """Tests for argument parsing, subcommand behavior, and exit codes."""
 
 import json
+import socket
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icl_qproto import harness
 from icl_qproto.cli import Command, UsageError, main, parse, verify
 from icl_qproto.harness import Message2
 
@@ -130,6 +133,31 @@ class TestMainExitCodes:
              "--protocol", "superdense", "--message", "00"]
         )
         assert code == 3
+
+    def test_non_ascii_from_peer_is_three(self, monkeypatch, capsys):
+        ready = threading.Event()
+        ports: list[int] = []
+        run_wire_demo = harness.run_wire_demo
+
+        def reporting_port(*args, **kwargs):
+            kwargs["ready_callback"] = lambda p: (ports.append(p), ready.set())
+            return run_wire_demo(*args, timeout=5.0, **kwargs)
+
+        monkeypatch.setattr(harness, "run_wire_demo", reporting_port)
+        codes: list[int] = []
+        bob = threading.Thread(target=lambda: codes.append(main(
+            ["wire", "--role", "bob", "--endpoint", "127.0.0.1:0",
+             "--protocol", "superdense", "--message", "00"]
+        )))
+        bob.start()
+        assert ready.wait(10)
+        with socket.create_connection(("127.0.0.1", ports[0]), timeout=10) as sock:
+            sock.sendall(b"HELLO v1 \xff\n")
+            reply = sock.makefile("rb").readline()
+        bob.join(10)
+        assert reply == b"ERR non-ascii\n"
+        assert codes == [3]
+        assert "non-ASCII" in capsys.readouterr().err
 
 
 class TestSubcommands:

@@ -1,4 +1,4 @@
-"""Tests for the channel, parties, trace emission, and the wire demo."""
+"""Tests for two-bit messages, trace emission, and the wire demo."""
 
 import json
 import socket
@@ -7,33 +7,23 @@ import threading
 import time
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from icl_qproto.harness import (
-    ChannelEmptyError,
-    ClassicalChannel,
     MAX_LINE_LENGTH,
     MAX_SEED,
     HandshakeError,
     Message2,
-    Party,
     ProtocolTrace,
     TraceEvent,
     TraceWriteError,
     TransportError,
-    channel_recv,
-    channel_send,
     emit_trace,
     run_wire_demo,
-    transfer_qubit,
     validate_trace,
 )
 from icl_qproto.statevec import ValidationError
 from icl_qproto.superdense import run_superdense
 from icl_qproto.teleport import InputQubit, run_teleportation
-
-bits_st = st.tuples(st.integers(0, 1), st.integers(0, 1))
 
 
 class TestMessage2:
@@ -49,82 +39,6 @@ class TestMessage2:
         for text in ("2", "abc", "1", "012"):
             with pytest.raises(ValidationError):
                 Message2.from_string(text)
-
-
-class TestChannel:
-    def test_send_appends(self):
-        ch = channel_send(ClassicalChannel(), Message2(0, 1))
-        assert ch.queue == (Message2(0, 1),)
-
-    def test_fifo_order(self):
-        ch = ClassicalChannel()
-        ch = channel_send(ch, Message2(1, 0))
-        ch = channel_send(ch, Message2(1, 1))
-        first, ch = channel_recv(ch)
-        second, ch = channel_recv(ch)
-        assert (first, second) == (Message2(1, 0), Message2(1, 1))
-
-    def test_recv_on_empty_would_block(self):
-        with pytest.raises(ChannelEmptyError):
-            channel_recv(ClassicalChannel())
-
-    def test_thousand_messages_in_order(self):
-        sent = [Message2(i % 2, (i // 2) % 2) for i in range(1000)]
-        ch = ClassicalChannel()
-        for msg in sent:
-            ch = channel_send(ch, msg)
-        received = []
-        for _ in range(1000):
-            msg, ch = channel_recv(ch)
-            received.append(msg)
-        assert received == sent
-
-    @given(st.lists(st.one_of(bits_st, st.none()), max_size=60))
-    def test_interleaved_against_list_oracle(self, ops):
-        """None means recv, a tuple means send; compare with a plain list."""
-        ch = ClassicalChannel()
-        oracle: list[Message2] = []
-        for op in ops:
-            if op is None:
-                if oracle:
-                    expected = oracle.pop(0)
-                    got, ch = channel_recv(ch)
-                    assert got == expected
-                else:
-                    with pytest.raises(ChannelEmptyError):
-                        channel_recv(ch)
-            else:
-                msg = Message2(*op)
-                ch = channel_send(ch, msg)
-                oracle.append(msg)
-        assert list(ch.queue) == oracle
-
-
-class TestParty:
-    def test_stage_advances_monotonically(self):
-        party = Party("alice", frozenset({1}))
-        party = party.advance(1)
-        with pytest.raises(ValidationError):
-            party.advance(1)
-
-    def test_transfer_moves_exclusive_ownership(self):
-        alice = Party("alice", frozenset({1}))
-        bob = Party("bob", frozenset({2}))
-        alice, bob = transfer_qubit(alice, bob, 1)
-        assert not alice.holds(1)
-        assert bob.held_qubits == frozenset({1, 2})
-
-    def test_transfer_requires_sender_ownership(self):
-        alice = Party("alice", frozenset())
-        bob = Party("bob", frozenset({2}))
-        with pytest.raises(ValidationError):
-            transfer_qubit(alice, bob, 1)
-
-    def test_transfer_rejects_duplicate_holding(self):
-        alice = Party("alice", frozenset({1}))
-        bob = Party("bob", frozenset({1}))
-        with pytest.raises(ValidationError):
-            transfer_qubit(alice, bob, 1)
 
 
 class TestTrace:
@@ -228,8 +142,11 @@ def _run_pair(protocol: str, seed: int, **kwargs):
     return status, verdicts
 
 
-def _raw_peer_to_bob(text: str, bob_timeout: float = 10.0):
-    """Send raw text to a teleport bob; return his first reply line and his errors."""
+def _raw_peer_to_bob(*chunks: "str | bytes", bob_timeout: float = 10.0):
+    """Send raw bytes to a teleport bob; return his last reply line and his errors.
+
+    Each chunk after the first is sent once bob has answered the one before.
+    """
     ready = threading.Event()
     ports: list[int] = []
     errors: list[BaseException] = []
@@ -251,14 +168,18 @@ def _raw_peer_to_bob(text: str, bob_timeout: float = 10.0):
     thread = threading.Thread(target=bob)
     thread.start()
     assert ready.wait(10)
+    lines = [b""]
     with socket.create_connection(("127.0.0.1", ports[0]), timeout=10) as sock, \
-            sock.makefile("rw", encoding="ascii", newline="\n") as wire:
-        wire.write(text)
-        wire.flush()
+            sock.makefile("rb") as wire:
         try:
-            reply = wire.readline().strip()
+            for i, chunk in enumerate(chunks):
+                if i:
+                    lines.append(wire.readline())
+                sock.sendall(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
+            lines.extend(iter(wire.readline, b""))
         except ConnectionResetError:  # bob closed with our bytes unread
-            reply = ""
+            pass
+    reply = lines[-1].decode("ascii").strip()
     thread.join(10)
     assert not thread.is_alive(), "bob never finished"
     return reply, errors
@@ -310,9 +231,26 @@ class TestWireDemo:
 
     def test_overlong_line_is_transport_error(self):
         reply, errors = _raw_peer_to_bob("H" * (4 * MAX_LINE_LENGTH), bob_timeout=3.0)
-        assert reply == ""
+        assert reply == "ERR line-too-long"
         assert len(errors) == 1 and isinstance(errors[0], TransportError)
         assert f"longer than {MAX_LINE_LENGTH}" in str(errors[0])
+
+    def test_non_ascii_byte_is_transport_error(self):
+        reply, errors = _raw_peer_to_bob(b"HELLO v1 \xff\n")
+        assert reply == "ERR non-ascii"
+        assert len(errors) == 1 and isinstance(errors[0], TransportError)
+        assert "non-ASCII" in str(errors[0])
+
+    def test_diverged_payload_answered_with_err(self):
+        reply, errors = _raw_peer_to_bob("HELLO v1 7\n", "CC 99\n")
+        assert reply == "ERR payload-diverged"
+        assert len(errors) == 1 and isinstance(errors[0], ValidationError)
+
+    def test_verdict_mismatch_answered_with_err(self):
+        bits = run_teleportation(InputQubit(1, 0), 7).events[3].payload["bits"]
+        reply, errors = _raw_peer_to_bob("HELLO v1 7\n", f"CC {bits}\nDONE fidelity=0.5\n")
+        assert reply == "ERR verdict-mismatch"
+        assert len(errors) == 1 and isinstance(errors[0], ValidationError)
 
     def test_unreachable_peer_is_transport_error(self):
         with pytest.raises(TransportError):

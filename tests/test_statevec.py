@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from icl_qproto.harness import Message2
+from icl_qproto.phasespace import BELL_ORDER
 from icl_qproto.statevec import (
     ATOL,
     HADAMARD,
@@ -12,6 +14,7 @@ from icl_qproto.statevec import (
     SIGMA_X,
     SIGMA_Z,
     DimensionError,
+    ProjectiveBasis,
     RandomSource,
     StateVector,
     ValidationError,
@@ -26,6 +29,8 @@ from icl_qproto.statevec import (
     single_qubit,
     tensor,
 )
+from icl_qproto.superdense import run_superdense
+from icl_qproto.teleport import InputQubit, run_teleportation
 from oracles import BELL, bell_branch_probabilities_oracle, kron_oracle, random_state, random_unitary
 
 
@@ -218,12 +223,16 @@ class TestMeasureProjective:
         p0 = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValidationError):
             measure_projective(basis_state(1, 0), [p0, p0], RandomSource(0))
+        with pytest.raises(ValidationError):
+            ProjectiveBasis([p0, p0])
 
     def test_rejects_non_orthogonal(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
         p0 = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValidationError):
             measure_projective(basis_state(1, 0), [p0, plus], RandomSource(0))
+        with pytest.raises(ValidationError):
+            ProjectiveBasis([p0, plus])
 
     def test_probabilities_sum_to_one_and_collapse_normalized(self):
         rng = np.random.default_rng(17)
@@ -249,6 +258,77 @@ class TestMeasureProjective:
                 ]
             )
         assert runs[0] == runs[1]
+
+
+@pytest.fixture
+def basis_checks(monkeypatch):
+    """Count how many times a ``ProjectiveBasis`` is built (and so checked)."""
+    built = [0]
+    check = ProjectiveBasis.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        check(self)
+
+    monkeypatch.setattr(ProjectiveBasis, "__post_init__", counting)
+    return built
+
+
+class TestProjectiveBasis:
+    @pytest.mark.parametrize(
+        "projectors",
+        [[np.eye(2), np.eye(4)], [np.ones((2, 3))], [np.array([1.0, 0.0])], []],
+        ids=["ragged", "non-square", "vectors", "empty"],
+    )
+    def test_rejects_wrong_shape_when_built(self, projectors):
+        with pytest.raises(DimensionError):
+            ProjectiveBasis(projectors)
+
+    def test_dimension_must_match_the_state(self):
+        basis = ProjectiveBasis(computational_projectors(1))
+        with pytest.raises(DimensionError):
+            branch_probabilities(basis_state(2, 0), basis)
+        with pytest.raises(DimensionError):
+            measure_projective(basis_state(2, 0), basis, RandomSource(0))
+
+    def test_stack_is_read_only_and_detached(self):
+        projectors = computational_projectors(2)
+        basis = ProjectiveBasis(projectors)
+        projectors[0][0, 0] = 7.0
+        assert basis.stack[0, 0, 0] == 1.0
+        with pytest.raises(ValueError):
+            basis.stack[0, 0, 0] = 7.0
+        assert basis.stack.shape == (4, 4, 4)
+
+    def test_same_results_as_a_plain_sequence(self):
+        rng = np.random.default_rng(11)
+        state = StateVector(3, random_state(rng, 8))
+        projectors = computational_projectors(3)
+        basis = ProjectiveBasis(projectors)
+        np.testing.assert_array_equal(
+            branch_probabilities(state, basis), branch_probabilities(state, projectors)
+        )
+        k1, c1, p1 = measure_projective(state, basis, RandomSource(5))
+        k2, c2, p2 = measure_projective(state, projectors, RandomSource(5))
+        assert (k1, p1) == (k2, p2)
+        np.testing.assert_array_equal(c1.amps, c2.amps)
+
+    def test_checked_once_not_per_call(self, basis_checks):
+        basis = ProjectiveBasis(computational_projectors(2))
+        for _ in range(3):
+            branch_probabilities(basis_state(2, 1), basis)
+            measure_projective(basis_state(2, 1), basis, RandomSource(0))
+        assert basis_checks[0] == 1
+        branch_probabilities(basis_state(2, 1), computational_projectors(2))
+        assert basis_checks[0] == 2  # a plain sequence is checked on every call
+
+    def test_protocol_runs_build_no_basis(self, basis_checks):
+        u = InputQubit(0.6, 0.8)
+        run_teleportation(u, 7)
+        for tag in BELL_ORDER:
+            run_teleportation(u, 0, force_outcome=tag)
+            run_superdense(Message2(*tag.bits))
+        assert basis_checks[0] == 0
 
 
 class TestRandomSource:

@@ -14,6 +14,7 @@ from icl_qproto.superdense import (
     encoding_table,
     run_superdense,
 )
+from icl_qproto.teleport import correction_for
 from oracles import BELL
 
 ALL_MESSAGES = [Message2(b1, b0) for b1 in (0, 1) for b0 in (0, 1)]
@@ -32,6 +33,10 @@ class TestEncodingTable:
         assert table[Message2(0, 1)][1] is BellState.PHI_MINUS
         assert table[Message2(1, 0)][1] is BellState.PSI_PLUS
         assert table[Message2(1, 1)][1] is BellState.PSI_MINUS
+
+    def test_encoders_are_the_teleport_corrections(self):
+        for unitary, tag in encoding_table().values():
+            assert unitary is correction_for(tag)
 
 
 class TestEncode:

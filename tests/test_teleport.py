@@ -15,7 +15,6 @@ from icl_qproto.statevec import (
     tensor,
 )
 from icl_qproto.teleport import (
-    CORRECTIONS,
     BellOutcome,
     InputQubit,
     bell_measure,
@@ -109,7 +108,7 @@ class TestCorrections:
     def test_psi_minus_composite_is_sign_free_here(self):
         # corrected state = sigma_z sigma_x sigma_x sigma_z (alpha, beta),
         # which collapses to the exact identity
-        zx = CORRECTIONS[BellState.PSI_MINUS]
+        zx = correction_for(BellState.PSI_MINUS)
         xz = np.array([[0, -1], [1, 0]], dtype=complex)
         np.testing.assert_allclose(zx @ xz, np.eye(2), atol=0)
 
