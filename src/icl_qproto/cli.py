@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -54,6 +55,12 @@ class Command:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a "-" word as a value only if it looks negative; "-0.6,0" does too
+        negative = self._negative_number_matcher.pattern
+        self._negative_number_matcher = re.compile(r"^-\.?\d[^,]*,[^,]*$|" + negative)
+
     def error(self, message):  # raise instead of exiting, so parse() is total
         raise UsageError(message)
 

@@ -21,8 +21,9 @@ Alice writes two lines in a row (the payload, then ``DONE``) before she
 reads. With Nagle's algorithm on, the second write waits for the ACK of
 the first, and Bob, who has nothing to send yet, delays that ACK for
 about 40 ms. Both sockets therefore set ``TCP_NODELAY``, so a loopback
-session costs its compute, not a delayed-ACK timer. Lines are read with
-a length bound (``MAX_LINE_LENGTH``), so a peer cannot grow memory by
+session costs its compute, not a delayed-ACK timer. Lines are read
+through one binary reader, which keeps lines that arrived together, with
+a length bound (``MAX_LINE_LENGTH``) so a peer cannot grow memory by
 never sending a newline. Whatever Bob rejects (a bad handshake, an
 over-long or non-ASCII line, a diverged payload or verdict), he first
 answers ``ERR <reason>``, as far as the connection still allows.
@@ -35,7 +36,7 @@ import socket
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, NamedTuple, TextIO
 
 from .statevec import ValidationError
 
@@ -43,7 +44,7 @@ WIRE_VERSION = "v1"
 
 MAX_SEED = 2**64 - 1
 
-MAX_LINE_LENGTH = 1024  # characters, newline included; protocol lines are < 64
+MAX_LINE_LENGTH = 1024  # bytes, newline included; protocol lines are < 64
 
 SEED_ENV_VAR = "ICL_QPROTO_SEED"
 
@@ -196,14 +197,19 @@ def validate_trace(trace: ProtocolTrace) -> None:
 # --- wire demo -------------------------------------------------------------
 
 
-def _send_line(wire, line: str) -> None:
-    wire.write(line + "\n")
-    wire.flush()
+class _Wire(NamedTuple):
+    """One connection: a buffered reader for lines in, ``sendall`` for lines out."""
+    sock: socket.socket
+    reader: BinaryIO
 
 
-def _recv_line(wire) -> str:
+def _send_line(wire: _Wire, line: str) -> None:
+    wire.sock.sendall(line.encode("ascii") + b"\n")
+
+
+def _recv_line(wire: _Wire) -> str:
     try:
-        line = wire.readline(MAX_LINE_LENGTH)
+        line = wire.reader.readline(MAX_LINE_LENGTH).decode("ascii")
     except UnicodeDecodeError as exc:
         raise TransportError(f"peer sent a non-ASCII byte: {exc}", "non-ascii") from exc
     if line == "":
@@ -310,9 +316,9 @@ def _converse(sock: socket.socket, timeout: float, session: Callable[..., str], 
     with sock:
         sock.settimeout(timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see module doc
-        with sock.makefile("rw", encoding="ascii", newline="\n") as wire:
+        with sock.makefile("rb") as reader:
             try:
-                return session(wire, *args)
+                return session(_Wire(sock, reader), *args)
             except OSError as exc:
                 raise TransportError(f"wire failure: {exc}") from exc
 

@@ -56,9 +56,6 @@ class Momentum:
         return math.pi * self.n / 2.0
 
 
-MOMENTA = tuple(Momentum(n) for n in range(4))
-
-
 def dft4() -> np.ndarray:
     """Forward four-point transform: row n is (1/2) * exp(i k_n R), R = 0..3."""
     return _DFT4.copy()
@@ -151,9 +148,7 @@ class Sector(Enum):
 def _hadamard_pair(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Apply the 2x2 Hadamard to the basis pair (|i>, |j>) of the 4-dim space."""
     e = np.eye(4, dtype=complex)
-    top = HADAMARD[0, 0] * e[i] + HADAMARD[0, 1] * e[j]
-    bottom = HADAMARD[1, 0] * e[i] + HADAMARD[1, 1] * e[j]
-    return top, bottom
+    return tuple(row[0] * e[i] + row[1] * e[j] for row in HADAMARD)  # type: ignore[return-value]
 
 
 class BellState(Enum):
@@ -182,15 +177,14 @@ class BellState(Enum):
 
     @classmethod
     def from_sector_phase(cls, sector: Sector, phase: int) -> "BellState":
-        for tag in cls:
-            if tag.sector is sector and tag.phase == phase:
-                return tag
-        raise ValidationError(f"phase must be +1 or -1, got {phase}")
+        try:
+            return _BY_SECTOR_PHASE[sector, phase]
+        except (KeyError, TypeError):
+            raise ValidationError(f"phase must be +1 or -1, got {phase}") from None
 
     @classmethod
     def from_bits(cls, b1: int, b0: int) -> "BellState":
-        sector = Sector.EVEN if b1 == 0 else Sector.ODD
-        return cls.from_sector_phase(sector, +1 if b0 == 0 else -1)
+        return _BY_BITS[b1 != 0, b0 != 0]
 
     @classmethod
     def from_tag(cls, tag: str) -> "BellState":
@@ -209,14 +203,13 @@ BELL_ORDER = (
     BellState.PSI_PLUS,
     BellState.PSI_MINUS,
 )
+_BY_SECTOR_PHASE = {(tag.sector, tag.phase): tag for tag in BELL_ORDER}
+_BY_BITS = {tag.bits: tag for tag in BELL_ORDER}  # any nonzero bit reads as 1
 
-_EVEN_PAIR = _hadamard_pair(0, 3)
-_ODD_PAIR = _hadamard_pair(1, 2)
+# phi+/phi- from the even pair (|00>, |11>); psi+/psi- from the odd pair (|01>, |10>)
 _CANONICAL_BELL = {
-    BellState.PHI_PLUS: StateVector(2, _EVEN_PAIR[0]),
-    BellState.PHI_MINUS: StateVector(2, _EVEN_PAIR[1]),
-    BellState.PSI_PLUS: StateVector(2, _ODD_PAIR[0]),
-    BellState.PSI_MINUS: StateVector(2, _ODD_PAIR[1]),
+    tag: StateVector(2, amps)
+    for tag, amps in zip(BELL_ORDER, (*_hadamard_pair(0, 3), *_hadamard_pair(1, 2)))
 }
 
 
@@ -270,14 +263,11 @@ class HState(Enum):
         return self.value
 
 
-_H_PAIRS = (_hadamard_pair(0, 2), _hadamard_pair(0, 1), _hadamard_pair(2, 3))
 _CANONICAL_H = {
-    HState.H0: StateVector(2, _H_PAIRS[0][0]),
-    HState.H1: StateVector(2, _H_PAIRS[0][1]),
-    HState.H2: StateVector(2, _H_PAIRS[1][0]),
-    HState.H3: StateVector(2, _H_PAIRS[1][1]),
-    HState.H4: StateVector(2, _H_PAIRS[2][0]),
-    HState.H5: StateVector(2, _H_PAIRS[2][1]),
+    member: StateVector(2, amps)
+    for member, amps in zip(
+        HState, (*_hadamard_pair(0, 2), *_hadamard_pair(0, 1), *_hadamard_pair(2, 3))
+    )
 }
 
 

@@ -1,10 +1,11 @@
 """Small-register complex state vectors and exact gate application.
 
 Everything in this package works on one to three qubits, so states are
-dense complex vectors of length 2, 4, or 8 and every operation simply
-builds the full matrix it applies. States are immutable values: each
-operation returns a fresh ``StateVector``, which lets a protocol trace
-keep every intermediate state it saw.
+dense complex vectors of length 2, 4, or 8; a one-qubit gate acts on its
+target's axis of the reshaped register, never through a full Kronecker
+matrix. States are immutable values: each operation returns a fresh
+``StateVector``, which lets a protocol trace keep every intermediate
+state it saw.
 
 Conventions, fixed package-wide:
 
@@ -19,7 +20,7 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from itertools import accumulate
 from typing import Any, Sequence
 
 import numpy as np
@@ -100,23 +101,17 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.qubit_count, (int, np.integer)) or not (
-            1 <= self.qubit_count <= MAX_QUBITS
-        ):
-            raise DimensionError(
-                f"qubit_count must be 1..{MAX_QUBITS}, got {self.qubit_count}"
-            )
-        object.__setattr__(self, "qubit_count", int(self.qubit_count))
-        amps = np.asarray(self.amps, dtype=complex).reshape(-1).copy()
-        if amps.shape[0] != 2**self.qubit_count:
-            raise DimensionError(
-                f"{self.qubit_count}-qubit state needs {2**self.qubit_count} amplitudes, "
-                f"got {amps.shape[0]}"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise ValidationError("amplitudes must be finite")
-        sumsq = float(np.sum(np.abs(amps) ** 2))
-        if abs(sumsq - 1.0) > ATOL:
+        n = self.qubit_count
+        if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_QUBITS:
+            raise DimensionError(f"qubit_count must be 1..{MAX_QUBITS}, got {n}")
+        object.__setattr__(self, "qubit_count", int(n))
+        amps = np.array(self.amps, dtype=complex).reshape(-1)
+        if amps.shape[0] != 2**n:
+            raise DimensionError(f"{n}-qubit state needs {2**n} amplitudes, got {amps.shape[0]}")
+        if not abs(np.vdot(amps, amps).real - 1.0) <= ATOL:  # also true for a nan or an inf
+            if not np.all(np.isfinite(amps)):
+                raise ValidationError("amplitudes must be finite")
+            sumsq = float(np.sum(np.abs(amps) ** 2))
             raise ValidationError(f"state is not normalized: sum |amp|^2 = {sumsq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -143,10 +138,7 @@ class StateVector:
 
     def to_json(self) -> dict:
         """JSON form used by traces: {"n": ..., "amps": [[re, im], ...]}."""
-        return {
-            "n": self.qubit_count,
-            "amps": [[float(a.real), float(a.imag)] for a in self.amps],
-        }
+        return {"n": self.qubit_count, "amps": [[z.real, z.imag] for z in self.amps.tolist()]}
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
@@ -184,20 +176,26 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
         raise DimensionError(
             f"tensor product would need {total} qubits; the register is capped at {MAX_QUBITS}"
         )
-    return StateVector(total, np.kron(a.amps, b.amps))
+    return StateVector(total, np.multiply.outer(a.amps, b.amps).reshape(-1))
 
 
 def apply_1q(state: StateVector, u: np.ndarray, target: int) -> StateVector:
-    """Apply a 2x2 unitary to the 1-based ``target`` qubit."""
-    u = require_unitary(u, 2)
-    if not 1 <= target <= state.qubit_count:
-        raise IndexError(
-            f"target qubit {target} out of range for a {state.qubit_count}-qubit state"
-        )
-    factors: list[np.ndarray] = [IDENTITY2] * state.qubit_count
-    factors[target - 1] = u
-    full = reduce(np.kron, factors)
-    return StateVector(state.qubit_count, full @ state.amps)
+    """Apply a 2x2 unitary to the 1-based ``target`` qubit, on its axis of the register."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise DimensionError(f"expected a 2x2 matrix, got shape {u.shape}")
+    (a, b), (c, d) = u.tolist()
+    # is_unitary's rule on u u^dagger - I, whose (1, 0) entry is the conjugate of (0, 1)
+    gram = (a * a.conjugate() + b * b.conjugate() - 1, a * c.conjugate() + b * d.conjugate(),
+            c * c.conjugate() + d * d.conjugate() - 1)
+    if not all(abs(entry) <= ATOL for entry in gram):
+        raise ValidationError("matrix is not unitary within tolerance")
+    n = state.qubit_count
+    if not 1 <= target <= n:
+        raise IndexError(f"target qubit {target} out of range for a {n}-qubit state")
+    psi = state.amps.reshape(2 ** (target - 1), 2, -1)
+    # einsum sums onto +0.0, so a zero amplitude is +0.0 in a trace (matmul can give -0.0)
+    return StateVector(n, np.einsum("ij,ajb->aib", u, psi).reshape(-1))
 
 
 def apply_unitary(state: StateVector, u: np.ndarray) -> StateVector:
@@ -267,7 +265,7 @@ def _probabilities(
             f"projectors must be {dim}x{dim} matrices, got shape {basis.stack.shape[1:]}"
         )
     probs = np.einsum("i,kij,j->k", state.amps.conj(), basis.stack, state.amps).real
-    return basis, np.clip(probs, 0.0, None)
+    return basis, np.maximum(probs, 0.0)
 
 
 def branch_probabilities(
@@ -293,13 +291,14 @@ def measure_projective(
     probability. ``projectors`` are checked as in :func:`branch_probabilities`.
     """
     basis, probs = _probabilities(state, projectors)
+    weights = probs.tolist()
     r = rand.uniform()
-    k = int(np.searchsorted(np.cumsum(probs), r, side="right"))
-    k = min(k, len(probs) - 1)
-    if probs[k] <= 0.0:  # float-boundary landing on a zero-width branch
-        k = int(np.argmax(probs))
-    collapsed = StateVector(state.qubit_count, (basis.stack[k] @ state.amps) / np.sqrt(probs[k]))
-    return k, collapsed, float(probs[k])
+    # the first branch whose running total exceeds r, or the last if rounding leaves r above all
+    k = next((i for i, total in enumerate(accumulate(weights)) if total > r), len(weights) - 1)
+    if weights[k] <= 0.0:  # float-boundary landing on a zero-width branch
+        k = weights.index(max(weights))
+    collapsed = StateVector(state.qubit_count, (basis.stack[k] @ state.amps) / np.sqrt(weights[k]))
+    return k, collapsed, weights[k]
 
 
 def computational_projectors(qubit_count: int) -> list[np.ndarray]:

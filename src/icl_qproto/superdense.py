@@ -74,8 +74,8 @@ def run_superdense(message: Message2) -> ProtocolTrace:
     trace carries a null seed.
     """
     resource = BellState.PHI_PLUS.vector()
-    unitary_name, _ = PAULI_TABLE[BellState.from_bits(*message.bits)]
-    encoded = encode(message, resource)
+    unitary_name, unitary = PAULI_TABLE[BellState.from_bits(*message.bits)]
+    encoded = apply_1q(resource, unitary, 1)
     outcome, prob = _bell_branch(encoded)
 
     events = (

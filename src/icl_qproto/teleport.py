@@ -116,13 +116,10 @@ def decompose(u: InputQubit) -> TeleportDecomposition:
     Bob's conditional state on each branch is the inverse (the conjugate
     transpose) of that branch's correction applied to (alpha, beta).
     """
+    amps = u.state().amps
     entries = tuple(
-        TeleportEntry(
-            tag,
-            StateVector(1, correction_for(tag).conj().T @ u.state().amps),
-            correction_for(tag),
-        )
-        for tag in BELL_ORDER
+        TeleportEntry(tag, StateVector(1, correction.conj().T @ amps), correction)
+        for tag, (_, correction) in PAULI_TABLE.items()
     )
     return TeleportDecomposition(entries)  # type: ignore[arg-type]
 
@@ -191,18 +188,19 @@ def run_teleportation(
     """
     rand = RandomSource(seed)
     resource = BellState.PHI_PLUS.vector()
-    joint = tensor(u.state(), resource)
+    state = u.state()
+    joint = tensor(state, resource)
     outcome, collapsed, prob = _bell_measure_full(joint, rand, force_outcome)
     correction_name, correction = PAULI_TABLE[outcome.tag]
     bob_before = extract_bob_state(collapsed, outcome.tag)
     bob_after = StateVector(1, correction @ bob_before.amps)
-    fidelity = abs(overlap(u.state(), bob_after)) ** 2
+    fidelity = abs(overlap(state, bob_after)) ** 2
 
     events = (
         TraceEvent(1, "system", "share-bell-pair",
                    {"pair": "phi+", "state": resource.to_json()}),
         TraceEvent(2, "alice", "attach-input",
-                   {"input": u.state().to_json(), "state": joint.to_json()}),
+                   {"input": state.to_json(), "state": joint.to_json()}),
         TraceEvent(3, "alice", "bell-measurement",
                    {"outcome": outcome.tag.value, "bits": outcome.bit_string,
                     "probability": prob}),

@@ -53,6 +53,29 @@ def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def one_qubit_gate_oracle(amps: np.ndarray, u: np.ndarray, target: int) -> np.ndarray:
+    """A 2x2 gate on the 1-based ``target`` qubit, through the full Kronecker matrix.
+
+    The 2^n x 2^n matrix is filled entry by entry (``u`` on the target's
+    bit, the identity on every other qubit) and applied by explicit sums
+    that start from 0, as a dense matrix-vector product does.
+    """
+    dim = len(amps)
+    bit = 1 << (dim.bit_length() - 1 - target)
+    full = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            if i & ~bit == j & ~bit:
+                full[i, j] = u[int(bool(i & bit)), int(bool(j & bit))]
+    out = np.zeros(dim, dtype=complex)
+    for i in range(dim):
+        total = 0j
+        for j in range(dim):
+            total += full[i, j] * amps[j]
+        out[i] = total
+    return out
+
+
 def bell_branch_probabilities_oracle(amps8: np.ndarray) -> dict[str, float]:
     """P(outcome) for a Bell measurement of qubits 1-2 of a 3-qubit state.
 

@@ -171,6 +171,17 @@ class TestSubcommands:
         assert summary["bits"] == "11"
         assert summary["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_negative_first_component_needs_no_equals_sign(self, capsys):
+        outputs = []
+        for argv in (["--alpha", "-0.6,0", "--beta", "-0.8,0"],
+                     ["--alpha=-0.6,0", "--beta=-0.8,0"]):
+            assert main(["teleport", *argv, "--seed", "3", "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        cmd = parse(["wire", "--role", "bob", "--endpoint", "h:1", "--protocol",
+                     "teleport", "--alpha", "-.6,0", "--beta", "-0.8e0,-0"])
+        assert (cmd.options.alpha, cmd.options.beta) == (-0.6 + 0j, -0.8 + 0j)
+
     def test_teleport_writes_trace(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"
         assert main(

@@ -9,6 +9,7 @@ to say so. To rewrite the files after such an intended change, run
 
 import io
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -28,22 +29,46 @@ INPUTS = {
 }
 # 0, 7 and MAX_SEED all sample psi+; 2, 3 and 4 sample phi-, phi+ and psi-.
 SEEDS = (0, 2, 3, 4, 7, MAX_SEED)
-FORCED_INPUT = "real"
+
+
+def _generic_inputs(count: int = 8, seed: int = 20231) -> dict[str, tuple[complex, complex]]:
+    """Normalized complex pairs with full-width mantissas, drawn without numpy.
+
+    On the inputs above the arithmetic is nearly exact, so a change in the
+    last bit of a float could pass unseen; on these it shows in the trace.
+    """
+    rng = random.Random(seed)
+    inputs = {}
+    for i in range(count):
+        a, b = (complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2))
+        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        inputs[f"generic{i}"] = (a / norm, b / norm)
+    return inputs
+
+
+GENERIC_INPUTS = _generic_inputs()
+# every sampled branch: 0 and MAX_SEED sample psi+, 2 phi-, 3 phi+, 4 psi-
+GENERIC_SEEDS = (0, 2, 3, 4, MAX_SEED)
+FORCED_INPUTS = ("real", "generic0")
 
 
 def _cases() -> dict[str, object]:
     """File stem -> zero-argument function returning the trace."""
     cases = {}
-    for name, (alpha, beta) in INPUTS.items():
-        for seed in SEEDS:
-            cases[f"teleport-{name}-seed{seed}"] = (
-                lambda a=alpha, b=beta, s=seed: run_teleportation(InputQubit(a, b), s)
+    for inputs, seeds in ((INPUTS, SEEDS), (GENERIC_INPUTS, GENERIC_SEEDS)):
+        for name, (alpha, beta) in inputs.items():
+            for seed in seeds:
+                cases[f"teleport-{name}-seed{seed}"] = (
+                    lambda a=alpha, b=beta, s=seed: run_teleportation(InputQubit(a, b), s)
+                )
+    for name in FORCED_INPUTS:
+        alpha, beta = {**INPUTS, **GENERIC_INPUTS}[name]
+        for tag in BELL_ORDER:
+            cases[f"teleport-{name}-forced-{tag.value}"] = (
+                lambda a=alpha, b=beta, t=tag: run_teleportation(
+                    InputQubit(a, b), 0, force_outcome=t
+                )
             )
-    alpha, beta = INPUTS[FORCED_INPUT]
-    for tag in BELL_ORDER:
-        cases[f"teleport-{FORCED_INPUT}-forced-{tag.value}"] = (
-            lambda t=tag: run_teleportation(InputQubit(alpha, beta), 0, force_outcome=t)
-        )
     for bits in ("00", "01", "10", "11"):
         cases[f"superdense-{bits}"] = lambda m=bits: run_superdense(Message2.from_string(m))
     return cases

@@ -246,6 +246,15 @@ class TestWireDemo:
         assert reply == "ERR payload-diverged"
         assert len(errors) == 1 and isinstance(errors[0], ValidationError)
 
+    def test_pipelined_lines_are_not_lost(self):
+        # both lines in one write: bob must read the payload line he already
+        # received after echoing the handshake, not wait for it until timeout
+        start = time.monotonic()
+        reply, errors = _raw_peer_to_bob("HELLO v1 7\nCC 99\n", bob_timeout=3.0)
+        assert reply == "ERR payload-diverged"
+        assert len(errors) == 1 and isinstance(errors[0], ValidationError)
+        assert time.monotonic() - start < 1.5
+
     def test_verdict_mismatch_answered_with_err(self):
         bits = run_teleportation(InputQubit(1, 0), 7).events[3].payload["bits"]
         reply, errors = _raw_peer_to_bob("HELLO v1 7\n", f"CC {bits}\nDONE fidelity=0.5\n")

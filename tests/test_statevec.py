@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icl_qproto.harness import Message2
-from icl_qproto.phasespace import BELL_ORDER
+from icl_qproto.phasespace import BELL_ORDER, PAULI_TABLE
 from icl_qproto.statevec import (
     ATOL,
     HADAMARD,
@@ -31,21 +31,49 @@ from icl_qproto.statevec import (
 )
 from icl_qproto.superdense import run_superdense
 from icl_qproto.teleport import InputQubit, run_teleportation
-from oracles import BELL, bell_branch_probabilities_oracle, kron_oracle, random_state, random_unitary
+from oracles import (
+    BELL,
+    bell_branch_probabilities_oracle,
+    kron_oracle,
+    one_qubit_gate_oracle,
+    random_state,
+    random_unitary,
+)
+
+
+def _states(rng, n):
+    """Generic states, and states with exact zeros: every basis state and a Bell pair."""
+    states = [StateVector(n, random_state(rng, 2**n)) for _ in range(3)]
+    states += [basis_state(n, i) for i in range(2**n)]
+    if n == 2:
+        states.append(StateVector(2, BELL["phi+"]))
+    elif n == 3:
+        states.append(tensor(StateVector(2, BELL["psi-"]), basis_state(1, 1)))
+    return states
 
 
 class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             StateVector(1, np.array([1.0, 1.0]))
+        for amps in ([1.0 + 2 * ATOL, 0.0], [1e200, 0.0], [1e-200, 0.0], [0.0, 0.0]):
+            with pytest.raises(ValidationError, match="not normalized"), np.errstate(over="ignore"):
+                StateVector(1, np.array(amps))
+        StateVector(1, np.array([1.0 + ATOL / 4, 0.0]))  # within tolerance
 
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionError):
             StateVector(2, np.array([1.0, 0.0]))
+        for n, length in ((1, 4), (3, 4), (3, 16), (1, 0)):
+            with pytest.raises(DimensionError):
+                StateVector(n, np.eye(1, length).reshape(-1))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             StateVector(1, np.array([np.nan, 0.0]))
+        for bad in (np.inf, -np.inf, complex(0, np.nan), complex(1, np.inf)):
+            with pytest.raises(ValidationError, match="finite"):
+                StateVector(2, np.array([bad, 0.0, 0.0, 1.0]))
 
     def test_rejects_more_than_three_qubits(self):
         amps = np.zeros(16)
@@ -101,6 +129,13 @@ class TestTensor:
         with pytest.raises(DimensionError):
             tensor(two, two)
 
+    def test_equals_np_kron_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for na, nb in ((1, 1), (1, 2), (2, 1)):
+            for a in _states(rng, na):
+                for b in _states(rng, nb):
+                    assert tensor(a, b).amps.tobytes() == np.kron(a.amps, b.amps).tobytes()
+
     def test_associative_against_triple_loop(self):
         rng = np.random.default_rng(11)
         a, b, c = (StateVector(1, random_state(rng, 2)) for _ in range(3))
@@ -130,10 +165,35 @@ class TestApply1q:
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
             apply_1q(basis_state(2, 0), SIGMA_X, 3)
+        for n, target in ((1, 0), (1, 2), (3, 0), (3, 4), (2, -1)):
+            with pytest.raises(IndexError):
+                apply_1q(basis_state(n, 0), SIGMA_X, target)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             apply_1q(basis_state(1, 0), np.array([[1, 1], [0, 1]]), 1)
+        off = 1 + 2 * ATOL
+        for bad in ([[off, 0], [0, 1]], [[1, 0], [0, off]], [[1, 2 * ATOL], [0, 1]],
+                    [[np.nan, 0], [0, 1]], [[1, 0], [0, np.inf]], [[0, 0], [0, 0]]):
+            with pytest.raises(ValidationError, match="not unitary"):
+                apply_1q(basis_state(2, 0), np.array(bad), 2)
+        for shape in ((2,), (4, 4), (2, 2, 1), (1, 2)):
+            with pytest.raises(DimensionError):
+                apply_1q(basis_state(1, 0), np.ones(shape), 1)
+
+    def test_matches_the_kronecker_reference_on_every_target(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 3):
+            for state in _states(rng, n):
+                for target in range(1, n + 1):
+                    for _, pauli in PAULI_TABLE.values():  # exact, signed zeros included
+                        got = apply_1q(state, pauli, target).amps
+                        assert got.tobytes() == one_qubit_gate_oracle(
+                            state.amps, pauli, target).tobytes()
+                    u = random_unitary(rng, 2)
+                    np.testing.assert_allclose(
+                        apply_1q(state, u, target).amps,
+                        one_qubit_gate_oracle(state.amps, u, target), rtol=0, atol=ATOL)
 
     def test_involutions(self):
         for gate in (SIGMA_X, SIGMA_Z, HADAMARD):
@@ -244,6 +304,33 @@ class TestMeasureProjective:
                 state, computational_projectors(n), RandomSource(4)
             )
             assert abs(np.linalg.norm(collapsed.amps) - 1.0) < ATOL
+
+    def test_branch_choice_is_searchsorted_on_the_cumsum(self):
+        class Fixed:
+            def __init__(self, r):
+                self.r = r
+
+            def uniform(self):
+                return self.r
+
+        def reference(probs, r):
+            k = min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
+            return k if probs[k] > 0.0 else int(np.argmax(probs))
+
+        rng = np.random.default_rng(37)
+        states = [StateVector(2, np.array([0.6, 0, 0.8, 0])),
+                  StateVector(2, np.array([0, 0.6, 0.8, 0])),
+                  StateVector(2, np.array([1.0 - ATOL / 4, 0, 0, 0])),  # probabilities sum below 1
+                  *(StateVector(2, random_state(rng, 4)) for _ in range(5))]
+        projectors = computational_projectors(2)
+        for state in states:
+            probs = branch_probabilities(state, projectors)
+            edges = np.cumsum(probs)
+            rs = [0.0, 0.5, 1.0 - 2**-53, *edges, *np.nextafter(edges, 0), *np.nextafter(edges, 1)]
+            for r in rs:
+                k, _, prob = measure_projective(state, projectors, Fixed(float(r)))
+                assert k == reference(probs, r), (state, r)
+                assert prob == probs[k]
 
     def test_seeded_outcomes_reproduce(self):
         rng = np.random.default_rng(29)
