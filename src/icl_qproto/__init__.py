@@ -22,21 +22,15 @@ from .phasespace import (
     BELL_ORDER,
     PAULI_TABLE,
     BellState,
-    BlochQuartet,
     HState,
-    Momentum,
     Sector,
     bell_projectors,
     bell_superpositions,
-    bloch_to_wannier,
     contract_bell,
     dft4,
-    dft4_inverse,
     h_state_superpositions,
     h_states,
     pair_determinant,
-    wannier_basis,
-    wannier_to_bloch,
 )
 from .statevec import (
     ATOL,
@@ -50,7 +44,6 @@ from .statevec import (
     StateVector,
     ValidationError,
     apply_1q,
-    apply_unitary,
     basis_state,
     branch_probabilities,
     computational_projectors,

@@ -239,37 +239,29 @@ def _bob_recv(wire) -> str:
         raise
 
 
-def _mirror_run(
-    protocol: str,
-    seed: int,
-    input_qubit,
-    message,
-    force_outcome,
-) -> tuple[ProtocolTrace, str, str]:
-    """Run the protocol in-process; return (trace, payload line, verdict string)."""
+def _mirror_run(protocol: str, seed: int, input_qubit, message) -> tuple[str, str]:
+    """Run the protocol in-process; return (payload line, verdict string)."""
     if protocol == "teleport":
         from .teleport import run_teleportation
 
-        trace = run_teleportation(input_qubit, seed, force_outcome=force_outcome)
+        trace = run_teleportation(input_qubit, seed)
         bits = next(e.payload["bits"] for e in trace.events if e.action == "send-bits")
-        return trace, f"CC {bits}", f"fidelity={trace.verdict['fidelity']!r}"
+        return f"CC {bits}", f"fidelity={trace.verdict['fidelity']!r}"
     if protocol == "superdense":
         from .superdense import run_superdense
 
         trace = run_superdense(message)
-        return trace, "QUBIT-SENT", f"decoded={trace.verdict['decoded']}"
+        return "QUBIT-SENT", f"decoded={trace.verdict['decoded']}"
     raise ValidationError(f"unknown protocol {protocol!r}")
 
 
-def _alice_session(wire, protocol, seed, input_qubit, message, force_outcome) -> str:
+def _alice_session(wire, protocol, seed, input_qubit, message) -> str:
     hello = f"HELLO {WIRE_VERSION} {seed}"
     _send_line(wire, hello)
     echo = _recv_line(wire)
     if echo != hello:
         raise HandshakeError(f"peer rejected handshake: {echo!r}")
-    _, payload_line, verdict = _mirror_run(
-        protocol, seed, input_qubit, message, force_outcome
-    )
+    payload_line, verdict = _mirror_run(protocol, seed, input_qubit, message)
     _send_line(wire, payload_line)
     _send_line(wire, f"DONE {verdict}")
     peer = _recv_line(wire)
@@ -278,7 +270,7 @@ def _alice_session(wire, protocol, seed, input_qubit, message, force_outcome) ->
     return verdict
 
 
-def _bob_session(wire, protocol, input_qubit, message, force_outcome) -> str:
+def _bob_session(wire, protocol, input_qubit, message) -> str:
     hello = _bob_recv(wire)
     parts = hello.split()
     if len(parts) != 3 or parts[0] != "HELLO":
@@ -292,9 +284,7 @@ def _bob_session(wire, protocol, input_qubit, message, force_outcome) -> str:
         raise HandshakeError(f"malformed seed in handshake: {parts[2]!r}")
     seed = int(parts[2])
     _send_line(wire, hello)
-    _, payload_line, verdict = _mirror_run(
-        protocol, seed, input_qubit, message, force_outcome
-    )
+    payload_line, verdict = _mirror_run(protocol, seed, input_qubit, message)
     got = _bob_recv(wire)
     if got != payload_line:
         _reject(wire, "payload-diverged")
@@ -332,7 +322,6 @@ def run_wire_demo(
     seed: int | None = None,
     input_qubit=None,
     message=None,
-    force_outcome=None,
     ready_callback: Callable[[int], None] | None = None,
     verdict_callback: Callable[[str], None] | None = None,
     timeout: float = 10.0,
@@ -358,7 +347,7 @@ def run_wire_demo(
             raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
         verdict = _converse(
             sock, timeout, _alice_session,
-            protocol, seed if seed is not None else 0, input_qubit, message, force_outcome,
+            protocol, seed if seed is not None else 0, input_qubit, message,
         )
     else:
         try:
@@ -373,9 +362,7 @@ def run_wire_demo(
                 conn, _ = listener.accept()
             except OSError as exc:
                 raise TransportError(f"no peer connected: {exc}") from exc
-            verdict = _converse(
-                conn, timeout, _bob_session, protocol, input_qubit, message, force_outcome
-            )
+            verdict = _converse(conn, timeout, _bob_session, protocol, input_qubit, message)
 
     if verdict_callback is not None:
         verdict_callback(verdict)

@@ -135,15 +135,6 @@ def apply_sigma_z(diagram: IclDiagram) -> IclDiagram:
     return IclDiagram(diagram.chain_length, diagram.sector, -diagram.phase)
 
 
-def state_to_diagram(tag: BellState, chain_length_hint: int | None = None) -> IclDiagram:
-    """Minimal diagram for a Bell state: 2 links for phi, 1 for psi.
-
-    A hint overrides the length but must match the sector's parity.
-    """
-    minimal = 2 if tag.sector is Sector.EVEN else 1
-    length = minimal if chain_length_hint is None else chain_length_hint
-    if length % 2 != minimal % 2:
-        raise ValidationError(
-            f"chain length {length} has the wrong parity for a {tag.value} diagram"
-        )
-    return IclDiagram(length, tag.sector, tag.phase)
+def state_to_diagram(tag: BellState) -> IclDiagram:
+    """Minimal diagram for a Bell state: 2 links for phi, 1 for psi."""
+    return IclDiagram(2 if tag.sector is Sector.EVEN else 1, tag.sector, tag.phase)

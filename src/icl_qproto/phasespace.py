@@ -9,9 +9,10 @@ Applying the same Hadamard to a mixed-sector pair of site states instead
 yields the six H states, which stay unentangled (their reshaped 2x2
 amplitude matrix has rank 1).
 
-Both transform directions carry the symmetric 1/sqrt(4) normalization so
-that forward times inverse is exactly the identity. The H4/H5 pair is
-normalized with the same 1/sqrt(2) factor as every other Hadamard pair.
+The transform carries the symmetric 1/sqrt(4) normalization, so it is
+unitary and its conjugate transpose inverts it exactly. The H4/H5 pair
+is normalized with the same 1/sqrt(2) factor as every other Hadamard
+pair.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,94 +41,18 @@ from .statevec import (
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j], dtype=complex)
 
 
-@dataclass(frozen=True)
-class Momentum:
-    """One of the four ring momenta k_n = (2*pi/4)*n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n not in (0, 1, 2, 3):
-            raise ValidationError(f"momentum index must be 0..3, got {self.n}")
-
-    @property
-    def value(self) -> float:
-        return math.pi * self.n / 2.0
-
-
 def dft4() -> np.ndarray:
-    """Forward four-point transform: row n is (1/2) * exp(i k_n R), R = 0..3."""
+    """Forward four-point transform: row n is the momentum state k_n = (2*pi/4)*n.
+
+    Entry (n, R) is (1/2) * exp(i k_n R) on site R = 0..3, the basis
+    |00>, |01>, |10>, |11>; the inverse is the conjugate transpose.
+    """
     return _DFT4.copy()
-
-
-def dft4_inverse() -> np.ndarray:
-    """Inverse transform, the entrywise conjugate of :func:`dft4`."""
-    return _DFT4.conj().copy()
 
 
 _DFT4 = readonly(
     np.array([[_QUARTER_TURNS[(n * r) % 4] for r in range(4)] for n in range(4)]) / 2.0
 )
-
-
-def wannier_basis() -> tuple[StateVector, StateVector, StateVector, StateVector]:
-    """The four two-qubit site states |00>, |01>, |10>, |11>, in order."""
-    return tuple(basis_state(2, i) for i in range(4))  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class BlochQuartet:
-    """Four momentum states, indexable by int or :class:`Momentum`."""
-
-    states: tuple[StateVector, StateVector, StateVector, StateVector]
-
-    def __post_init__(self):
-        if len(self.states) != 4 or any(s.qubit_count != 2 for s in self.states):
-            raise ValidationError("a Bloch quartet is four two-qubit states")
-        gram = np.array(
-            [[np.vdot(a.amps, b.amps) for b in self.states] for a in self.states]
-        )
-        if np.max(np.abs(gram - np.eye(4))) > ATOL:
-            raise ValidationError("Bloch quartet is not orthonormal within tolerance")
-
-    def __getitem__(self, key: "int | Momentum") -> StateVector:
-        idx = key.n if isinstance(key, Momentum) else key
-        return self.states[idx]
-
-    def __iter__(self) -> Iterator[StateVector]:
-        return iter(self.states)
-
-
-def wannier_to_bloch(basis: Sequence[StateVector]) -> BlochQuartet:
-    """Fourier-transform the canonical site basis into the momentum quartet.
-
-    The input must be the four computational basis vectors in index
-    order; anything else is rejected.
-    """
-    if len(basis) != 4:
-        raise ValidationError(f"expected 4 basis states, got {len(basis)}")
-    for i, s in enumerate(basis):
-        if s.qubit_count != 2 or not s.isclose(basis_state(2, i)):
-            raise ValidationError(
-                f"input {i} is not the canonical basis state |{i:02b}>"
-            )
-    m = dft4()
-    states = tuple(
-        StateVector(2, sum(m[n, r] * basis[r].amps for r in range(4)))
-        for n in range(4)
-    )
-    return BlochQuartet(states)  # type: ignore[arg-type]
-
-
-def bloch_to_wannier(
-    quartet: BlochQuartet,
-) -> tuple[StateVector, StateVector, StateVector, StateVector]:
-    """Invert the four-point transform on an orthonormal quartet."""
-    minv = dft4_inverse()
-    return tuple(  # type: ignore[return-value]
-        StateVector(2, sum(minv[i, n] * quartet[n].amps for n in range(4)))
-        for i in range(4)
-    )
 
 
 class Sector(Enum):

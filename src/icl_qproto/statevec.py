@@ -51,23 +51,6 @@ SIGMA_Z = readonly([[1, 0], [0, -1]])
 HADAMARD = readonly(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
-def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= atol)
-
-
-def require_unitary(u: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Return ``u`` as a complex array, or raise if it is not unitary."""
-    u = np.asarray(u, dtype=complex)
-    if dim is not None and u.shape != (dim, dim):
-        raise DimensionError(f"expected a {dim}x{dim} matrix, got shape {u.shape}")
-    if not is_unitary(u):
-        raise ValidationError("matrix is not unitary within tolerance")
-    return u
-
-
 class RandomSource:
     """Seeded uniform stream backed by numpy's PCG64 generator.
 
@@ -185,7 +168,7 @@ def apply_1q(state: StateVector, u: np.ndarray, target: int) -> StateVector:
     if u.shape != (2, 2):
         raise DimensionError(f"expected a 2x2 matrix, got shape {u.shape}")
     (a, b), (c, d) = u.tolist()
-    # is_unitary's rule on u u^dagger - I, whose (1, 0) entry is the conjugate of (0, 1)
+    # every entry of u u^dagger - I within ATOL; its (1, 0) entry is the conjugate of (0, 1)
     gram = (a * a.conjugate() + b * b.conjugate() - 1, a * c.conjugate() + b * d.conjugate(),
             c * c.conjugate() + d * d.conjugate() - 1)
     if not all(abs(entry) <= ATOL for entry in gram):
@@ -196,12 +179,6 @@ def apply_1q(state: StateVector, u: np.ndarray, target: int) -> StateVector:
     psi = state.amps.reshape(2 ** (target - 1), 2, -1)
     # einsum sums onto +0.0, so a zero amplitude is +0.0 in a trace (matmul can give -0.0)
     return StateVector(n, np.einsum("ij,ajb->aib", u, psi).reshape(-1))
-
-
-def apply_unitary(state: StateVector, u: np.ndarray) -> StateVector:
-    """Apply a full-dimension unitary (2^n x 2^n) to the whole register."""
-    u = require_unitary(u, 2**state.qubit_count)
-    return StateVector(state.qubit_count, u @ state.amps)
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:

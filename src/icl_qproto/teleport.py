@@ -55,7 +55,10 @@ class InputQubit:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        sumsq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        try:
+            sumsq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        except OverflowError:  # |alpha| or |beta| past about 1.3e154
+            sumsq = np.inf
         if not np.isfinite(sumsq) or abs(sumsq - 1.0) > ATOL:
             raise ValidationError(f"input qubit is not normalized: |a|^2+|b|^2 = {sumsq!r}")
 

@@ -5,12 +5,19 @@ import socket
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icl_qproto import harness
 from icl_qproto.cli import Command, UsageError, main, parse, verify
 from icl_qproto.harness import Message2
+
+
+# every float as a component: huge, subnormal, nan, inf
+_COMPLEX = st.tuples(st.floats(), st.floats()).map(lambda p: f"{p[0]!r},{p[1]!r}")
+_TELEPORT_ARGV = st.tuples(_COMPLEX, _COMPLEX).map(
+    lambda ab: ["teleport", f"--alpha={ab[0]}", f"--beta={ab[1]}"]
+)
 
 
 class TestParse:
@@ -95,7 +102,8 @@ class TestParse:
                    "--protocol", "superdense", "--message", "01"])
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.text(max_size=12), max_size=6))
+    @given(st.lists(st.text(max_size=12), max_size=6) | _TELEPORT_ARGV)
+    @example(["teleport", "--alpha=1e200,0", "--beta=0,0"])
     def test_parse_is_total(self, argv):
         """Arbitrary argv either parses, raises UsageError, or exits via --help."""
         try:
@@ -119,6 +127,12 @@ class TestMainExitCodes:
         assert "error:" in capsys.readouterr().err
         assert main(["teleport", "--alpha", "nan,0", "--beta", "0,0"]) == 2
         assert "finite" in capsys.readouterr().err
+        # |alpha|^2 overflows a double: still a usage error, not a traceback
+        for argv in (["teleport"], ["wire", "--role", "bob", "--endpoint", "h:1",
+                                    "--protocol", "teleport"]):
+            assert main([*argv, "--alpha", "1e200,0", "--beta", "0,0"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_io_error_is_three(self, tmp_path, capsys):
         missing = tmp_path / "absent" / "t.jsonl"

@@ -1,12 +1,15 @@
-"""Golden traces: every committed trace is regenerated and compared byte for byte.
+"""Golden outputs: every committed trace and CLI output is regenerated and compared byte for byte.
 
-The files under ``tests/golden/`` pin the replay guarantee: a protocol,
-its inputs and its seed fix the emitted JSON-lines bytes. A change that
-alters any of them changes the trace format or the simulation, and has
-to say so. To rewrite the files after such an intended change, run
-``PYTHONPATH=src python tests/test_golden.py``.
+The ``*.jsonl`` files under ``tests/golden/`` pin the replay guarantee: a
+protocol, its inputs and its seed fix the emitted JSON-lines bytes. The
+``cli-*.stdout`` files pin the stdout of the deterministic CLI commands
+(``verify all`` with and without ``--json``, ``bell --list``). A change
+that alters any of them changes the trace format, the simulation or the
+CLI output, and has to say so. To rewrite the files after such an
+intended change, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import contextlib
 import io
 import math
 import random
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from icl_qproto.cli import main
 from icl_qproto.harness import MAX_SEED, Message2, emit_trace
 from icl_qproto.phasespace import BELL_ORDER
 from icl_qproto.superdense import run_superdense
@@ -76,6 +80,13 @@ def _cases() -> dict[str, object]:
 
 CASES = _cases()
 
+# file stem -> argv of a CLI command whose stdout is pinned
+CLI_CASES = {
+    "cli-verify-all": ["verify", "all"],
+    "cli-verify-all-json": ["verify", "all", "--json"],
+    "cli-bell-list": ["bell", "--list"],
+}
+
 
 def _trace_bytes(stem: str) -> bytes:
     sink = io.StringIO()
@@ -83,9 +94,17 @@ def _trace_bytes(stem: str) -> bytes:
     return sink.getvalue().encode("ascii")
 
 
+def _stdout_bytes(stem: str) -> bytes:
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = main(CLI_CASES[stem])
+    assert code == 0, f"{stem} exited {code}"
+    return sink.getvalue().encode("ascii")
+
+
 def test_every_golden_file_has_a_case():
-    on_disk = {p.stem for p in GOLDEN.glob("*.jsonl")}
-    assert on_disk == set(CASES)
+    assert {p.stem for p in GOLDEN.glob("*.jsonl")} == set(CASES)
+    assert {p.stem for p in GOLDEN.glob("*.stdout")} == set(CLI_CASES)
 
 
 @pytest.mark.parametrize("stem", sorted(CASES))
@@ -93,10 +112,17 @@ def test_trace_is_byte_identical(stem):
     assert _trace_bytes(stem) == (GOLDEN / f"{stem}.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("stem", sorted(CLI_CASES))
+def test_cli_stdout_is_byte_identical(stem):
+    assert _stdout_bytes(stem) == (GOLDEN / f"{stem}.stdout").read_bytes()
+
+
 def write_all() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for stem in CASES:
         (GOLDEN / f"{stem}.jsonl").write_bytes(_trace_bytes(stem))
+    for stem in CLI_CASES:
+        (GOLDEN / f"{stem}.stdout").write_bytes(_stdout_bytes(stem))
 
 
 if __name__ == "__main__":

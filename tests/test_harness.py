@@ -7,6 +7,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from icl_qproto.harness import (
     MAX_LINE_LENGTH,
@@ -146,6 +148,8 @@ def _raw_peer_to_bob(*chunks: "str | bytes", bob_timeout: float = 10.0):
     """Send raw bytes to a teleport bob; return his last reply line and his errors.
 
     Each chunk after the first is sent once bob has answered the one before.
+    After the last chunk the peer closes its sending side, so bob reads to
+    the end of the stream instead of waiting out his timeout.
     """
     ready = threading.Event()
     ports: list[int] = []
@@ -176,6 +180,7 @@ def _raw_peer_to_bob(*chunks: "str | bytes", bob_timeout: float = 10.0):
                 if i:
                     lines.append(wire.readline())
                 sock.sendall(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
+            sock.shutdown(socket.SHUT_WR)
             lines.extend(iter(wire.readline, b""))
         except ConnectionResetError:  # bob closed with our bytes unread
             pass
@@ -185,7 +190,39 @@ def _raw_peer_to_bob(*chunks: "str | bytes", bob_timeout: float = 10.0):
     return reply, errors
 
 
+_BOB_RUN = run_teleportation(InputQubit(1, 0), 7)  # what _raw_peer_to_bob's bob computes
+_VALID_SESSION = (
+    f"HELLO v1 7\nCC {_BOB_RUN.events[3].payload['bits']}\n"
+    f"DONE fidelity={_BOB_RUN.verdict['fidelity']!r}\n"
+).encode("ascii")
+_PEER_LINE = st.sampled_from(_VALID_SESSION.split(b"\n")[:3] + [
+    b"HELLO v0 7", b"HELLO v1 -5", b"HELLO v1 seven", b"CC 99", b"DONE fidelity=0.5",
+    b"QUBIT-SENT", b"ERR closed",
+]) | st.binary(max_size=40)
+# raw bytes, or lines drawn from a session and its near misses, with an optional unended tail
+_PEER_BYTES = st.binary(max_size=2 * MAX_LINE_LENGTH) | st.builds(
+    lambda lines, tail: b"".join(line + b"\n" for line in lines) + tail,
+    st.lists(_PEER_LINE, max_size=5),
+    st.binary(max_size=8),
+)
+
+
 class TestWireDemo:
+    @settings(max_examples=100, deadline=None)
+    @given(_PEER_BYTES)
+    @example(_VALID_SESSION)
+    @example(b"")
+    def test_any_peer_bytes_end_in_err_or_a_valid_session(self, data):
+        start = time.monotonic()
+        reply, errors = _raw_peer_to_bob(data, bob_timeout=5.0)
+        assert time.monotonic() - start < 2.5
+        if errors:
+            assert len(errors) == 1, errors
+            assert isinstance(errors[0], (HandshakeError, TransportError, ValidationError))
+            assert reply.startswith("ERR "), (reply, errors)
+        else:
+            assert reply == f"DONE fidelity={_BOB_RUN.verdict['fidelity']!r}"
+
     def test_teleport_verdicts_match_in_process(self):
         u = InputQubit(0.6, 0.8)
         status, verdicts = _run_pair("teleport", 7, input_qubit=u)

@@ -127,13 +127,6 @@ class TestStateToDiagram:
         assert state_to_diagram(BellState.PHI_MINUS) == IclDiagram(2, Sector.EVEN, -1)
         assert state_to_diagram(BellState.PSI_PLUS) == IclDiagram(1, Sector.ODD, +1)
 
-    def test_hint_used_when_parity_matches(self):
-        assert state_to_diagram(BellState.PHI_PLUS, 6) == IclDiagram(6, Sector.EVEN, +1)
-
-    def test_hint_parity_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            state_to_diagram(BellState.PHI_PLUS, 3)
-
     def test_round_trip_all_tags(self):
         for tag in BELL_ORDER:
             state = diagram_to_state(state_to_diagram(tag))

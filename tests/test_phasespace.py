@@ -1,39 +1,22 @@
 """Tests for the four-point transform, Bell contraction, and H states."""
 
 import numpy as np
-import pytest
 
 from icl_qproto.phasespace import (
     BELL_ORDER,
     BellState,
-    BlochQuartet,
     HState,
-    Momentum,
     Sector,
     bell_projectors,
     bell_superpositions,
-    bloch_to_wannier,
     contract_bell,
     dft4,
-    dft4_inverse,
     h_state_superpositions,
     h_states,
     pair_determinant,
-    wannier_basis,
-    wannier_to_bloch,
 )
-from icl_qproto.statevec import StateVector, ValidationError, basis_state
-from oracles import BELL, DFT4, H_VECTORS, random_unitary
-
-
-class TestMomentum:
-    def test_values_quarter_spaced(self):
-        values = [Momentum(n).value for n in range(4)]
-        np.testing.assert_allclose(values, [0, np.pi / 2, np.pi, 3 * np.pi / 2])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            Momentum(4)
+from icl_qproto.statevec import basis_state
+from oracles import BELL, DFT4, H_VECTORS
 
 
 class TestDft4:
@@ -49,48 +32,6 @@ class TestDft4:
     def test_unitarity(self):
         product = dft4() @ dft4().conj().T
         assert np.max(np.abs(product - np.eye(4))) < 1e-12
-
-    def test_inverse_entry_conjugated(self):
-        assert dft4_inverse()[1, 1] == -0.5j
-
-    def test_inverse_is_true_inverse(self):
-        np.testing.assert_allclose(dft4_inverse(), np.linalg.inv(dft4()), atol=1e-15)
-
-
-class TestWannierBloch:
-    def test_bloch_rows(self):
-        quartet = wannier_to_bloch(wannier_basis())
-        np.testing.assert_allclose(quartet[0].amps, np.full(4, 0.5), atol=1e-15)
-        np.testing.assert_allclose(quartet[2].amps, [0.5, -0.5, 0.5, -0.5], atol=1e-15)
-        np.testing.assert_allclose(quartet[Momentum(1)].amps, DFT4[1], atol=1e-15)
-
-    def test_round_trip_to_canonical_basis(self):
-        quartet = wannier_to_bloch(wannier_basis())
-        back = bloch_to_wannier(quartet)
-        for i, state in enumerate(back):
-            assert state.isclose(basis_state(2, i), atol=1e-12)
-
-    def test_rejects_non_canonical_input(self):
-        shuffled = tuple(basis_state(2, i) for i in (1, 0, 2, 3))
-        with pytest.raises(ValidationError):
-            wannier_to_bloch(shuffled)
-
-    def test_quartet_requires_orthonormality(self):
-        phi = StateVector(2, BELL["phi+"])
-        with pytest.raises(ValidationError):
-            BlochQuartet((phi, phi, phi, phi))
-
-    def test_random_orthonormal_quartet_round_trip(self):
-        # matrix-inverse oracle: rebuild the quartet from its transform image
-        rng = np.random.default_rng(41)
-        rows = random_unitary(rng, 4)
-        quartet = BlochQuartet(tuple(StateVector(2, row) for row in rows))
-        w = bloch_to_wannier(quartet)
-        w_oracle = np.linalg.inv(DFT4) @ rows
-        for i in range(4):
-            np.testing.assert_allclose(w[i].amps, w_oracle[i], atol=1e-12)
-        rebuilt = DFT4 @ np.array([s.amps for s in w])
-        np.testing.assert_allclose(rebuilt, rows, atol=1e-12)
 
 
 class TestContractBell:

@@ -19,7 +19,6 @@ from icl_qproto.statevec import (
     StateVector,
     ValidationError,
     apply_1q,
-    apply_unitary,
     basis_state,
     branch_probabilities,
     computational_projectors,
@@ -206,8 +205,6 @@ class TestApply1q:
             for target in range(1, n + 1):
                 moved = apply_1q(state, random_unitary(rng, 2), target)
                 assert abs(np.linalg.norm(moved.amps) - 1.0) < ATOL
-            full = apply_unitary(state, random_unitary(rng, 2**n))
-            assert abs(np.linalg.norm(full.amps) - 1.0) < ATOL
 
 
 class TestOverlap:

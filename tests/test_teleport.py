@@ -35,6 +35,8 @@ class TestInputQubit:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             InputQubit(1.0, 1.0)
+        with pytest.raises(ValidationError):  # |alpha|^2 overflows a double
+            InputQubit(1e200, 0)
 
     def test_state_round_trip(self):
         u = InputQubit(0.6, 0.8j)
