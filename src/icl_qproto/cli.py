@@ -29,7 +29,7 @@ from .harness import (
     TransportError,
     emit_trace,
 )
-from .phasespace import BELL_ORDER, BellState, HState, Sector
+from .phasespace import BELL_ORDER, BellState, HState
 from .statevec import (
     SIGMA_X,
     SIGMA_Z,
@@ -41,17 +41,8 @@ from .statevec import (
     tensor,
 )
 
-SUITES = ("all", "phase-space", "icl", "teleport", "superdense")
-
-
 class UsageError(Exception):
     """Command line could not be parsed into a valid command."""
-
-
-@dataclass(frozen=True)
-class Command:
-    name: str
-    options: argparse.Namespace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +124,7 @@ def build_parser() -> _Parser:
     icl_cmd.add_argument("--json", action="store_true")
 
     verify = sub.add_parser("verify", help="run the identity checks")
-    verify.add_argument("suite", nargs="?", choices=SUITES, default="all")
+    verify.add_argument("suite", nargs="?", choices=["all", *_SUITE_CHECKS], default="all")
     verify.add_argument("--json", action="store_true")
 
     wire = sub.add_parser("wire", help="two-process demo over TCP")
@@ -177,8 +168,11 @@ def _message_bits(text: str) -> Message2:
         raise UsageError(f"--message: {exc}") from None
 
 
-def parse(argv: Sequence[str]) -> Command:
-    """Turn an argv into a validated Command or raise UsageError."""
+def parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Turn an argv into validated options or raise UsageError.
+
+    ``.command`` on the result names the subcommand.
+    """
     parser = build_parser()
     ns = parser.parse_args(list(argv))
     if ns.command is None:
@@ -197,7 +191,7 @@ def parse(argv: Sequence[str]) -> Command:
         try:
             raw = json.loads(ns.state)
             ns.state = StateVector.from_json(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the stack
             raise UsageError(f"--state is not valid JSON: {exc}") from None
         except (ValidationError, ValueError) as exc:
             raise UsageError(f"--state: {exc}") from None
@@ -215,7 +209,7 @@ def parse(argv: Sequence[str]) -> Command:
             ns.message = _message_bits(ns.message)
         if ns.seed is None:
             ns.seed = _env_seed()
-    return Command(ns.command, ns)
+    return ns
 
 
 # --- verification suites ----------------------------------------------------
@@ -291,7 +285,7 @@ def _check_phase_space() -> list[CheckResult]:
 
 def _check_icl() -> list[CheckResult]:
     results = []
-    diagram = icl.IclDiagram(2, Sector.EVEN, +1)
+    diagram = icl.IclDiagram(2, +1)
     failures = 0.0
     for n in range(17):
         want = BellState.PHI_PLUS if n % 2 == 0 else BellState.PSI_PLUS
@@ -407,8 +401,6 @@ def verify(suite: str) -> list[CheckResult]:
     """Run one identity suite (or all of them) and return the results."""
     if suite == "all":
         return [result for check in _SUITE_CHECKS.values() for result in check()]
-    if suite not in _SUITE_CHECKS:
-        raise UsageError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)})")
     return _SUITE_CHECKS[suite]()
 
 
@@ -548,12 +540,12 @@ _RUNNERS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        command = parse(sys.argv[1:] if argv is None else argv)
+        ns = parse(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _RUNNERS[command.name](command.options)
+        return _RUNNERS[ns.command](ns)
     except (TraceWriteError, TransportError, HandshakeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import socket
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, NamedTuple, TextIO
@@ -144,13 +143,10 @@ class ProtocolTrace:
             yield event.to_json_line()
 
 
-def emit_trace(trace: ProtocolTrace, sink: "str | Path | TextIO | None" = None) -> None:
+def emit_trace(trace: ProtocolTrace, sink: "str | Path | TextIO") -> None:
     """Write a finalized trace as JSON lines: one header, one line per event."""
     trace.verdict  # rejects unfinalized traces
     text = "".join(line + "\n" for line in trace.lines())
-    if sink is None:
-        sys.stdout.write(text)
-        return
     if isinstance(sink, (str, Path)):
         try:
             with open(sink, "w", encoding="ascii") as fh:

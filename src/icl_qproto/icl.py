@@ -1,11 +1,11 @@
 """Inverter-chain diagrams for two-qubit entanglement.
 
 A diagram records a chain of bit-flip (sigma_x) links between two
-qubits, plus a +/-1 phase flag. Chain parity selects the sector: even
-chains live on {|00>, |11>} (the phi states), odd chains on
-{|01>, |10>} (the psi states). Growing the chain by one link is the
-same thing as acting with sigma_x on one qubit; toggling the phase flag
-is acting with sigma_z. Only the four Bell states are
+qubits, plus a +/-1 phase flag. The sector is the chain's parity, not
+stored data: even chains live on {|00>, |11>} (the phi states), odd
+chains on {|01>, |10>} (the psi states). Growing the chain by one link
+is the same thing as acting with sigma_x on one qubit; toggling the
+phase flag is acting with sigma_z. Only the four Bell states are
 diagram-representable; ``classify`` sorts arbitrary two-qubit states
 into Bell / sector-confined / product / generic.
 
@@ -33,25 +33,22 @@ from .statevec import (
 class IclDiagram:
     """A chain of ``chain_length`` inverters with a phase flag.
 
-    The sector is redundant with the chain parity (even chain = even
-    sector) and the constructor enforces that consistency.
+    The sector is the chain's parity (even chain = even sector), worked
+    out on demand rather than stored.
     """
 
     chain_length: int
-    sector: Sector
     phase: int
 
     def __post_init__(self):
         if self.chain_length < 0:
             raise ValidationError(f"chain_length must be >= 0, got {self.chain_length}")
-        expected = Sector.EVEN if self.chain_length % 2 == 0 else Sector.ODD
-        if self.sector is not expected:
-            raise ValidationError(
-                f"a chain of {self.chain_length} links lies in the {expected.value} "
-                f"sector, not {self.sector.value}"
-            )
         if self.phase not in (+1, -1):
             raise ValidationError(f"phase must be +1 or -1, got {self.phase}")
+
+    @property
+    def sector(self) -> Sector:
+        return Sector.ODD if self.chain_length % 2 else Sector.EVEN
 
     def to_json(self) -> dict:
         return {"chain": self.chain_length, "sector": self.sector.value, "phase": self.phase}
@@ -71,22 +68,6 @@ class IclClass:
     kind: IclKind
     bell: BellState | None = None
     sector: Sector | None = None
-
-    @classmethod
-    def of_bell(cls, tag: BellState) -> "IclClass":
-        return cls(IclKind.BELL, bell=tag)
-
-    @classmethod
-    def of_sector(cls, sector: Sector) -> "IclClass":
-        return cls(IclKind.SECTOR_CONFINED, sector=sector)
-
-    @classmethod
-    def product(cls) -> "IclClass":
-        return cls(IclKind.PRODUCT)
-
-    @classmethod
-    def generic(cls) -> "IclClass":
-        return cls(IclKind.GENERIC)
 
     def to_json(self) -> dict:
         out: dict = {"class": self.kind.value}
@@ -109,15 +90,13 @@ def classify(state: StateVector) -> IclClass:
         raise DimensionError("classification is defined for two-qubit states")
     for tag in BELL_ORDER:
         if equal_up_to_global_phase(state, tag.vector()):
-            return IclClass.of_bell(tag)
+            return IclClass(IclKind.BELL, bell=tag)
     support = {i for i, a in enumerate(state.amps) if abs(a) > ATOL}
     entangled = abs(pair_determinant(state)) > ATOL
     for sector in Sector:
         if support <= set(sector.basis_indexes) and entangled:
-            return IclClass.of_sector(sector)
-    if not entangled:
-        return IclClass.product()
-    return IclClass.generic()
+            return IclClass(IclKind.SECTOR_CONFINED, sector=sector)
+    return IclClass(IclKind.GENERIC if entangled else IclKind.PRODUCT)
 
 
 def diagram_to_state(diagram: IclDiagram) -> StateVector:
@@ -127,14 +106,14 @@ def diagram_to_state(diagram: IclDiagram) -> StateVector:
 
 def extend_sigma_x(diagram: IclDiagram) -> IclDiagram:
     """Grow the chain by one inverter: parity flips, phase is untouched."""
-    return IclDiagram(diagram.chain_length + 1, diagram.sector.flipped(), diagram.phase)
+    return IclDiagram(diagram.chain_length + 1, diagram.phase)
 
 
 def apply_sigma_z(diagram: IclDiagram) -> IclDiagram:
     """Toggle the phase flag; the chain itself is untouched."""
-    return IclDiagram(diagram.chain_length, diagram.sector, -diagram.phase)
+    return IclDiagram(diagram.chain_length, -diagram.phase)
 
 
 def state_to_diagram(tag: BellState) -> IclDiagram:
     """Minimal diagram for a Bell state: 2 links for phi, 1 for psi."""
-    return IclDiagram(2 if tag.sector is Sector.EVEN else 1, tag.sector, tag.phase)
+    return IclDiagram(2 if tag.sector is Sector.EVEN else 1, tag.phase)

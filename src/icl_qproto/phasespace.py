@@ -65,9 +65,6 @@ class Sector(Enum):
     def basis_indexes(self) -> tuple[int, int]:
         return (0, 3) if self is Sector.EVEN else (1, 2)
 
-    def flipped(self) -> "Sector":
-        return Sector.ODD if self is Sector.EVEN else Sector.EVEN
-
 
 def _hadamard_pair(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Apply the 2x2 Hadamard to the basis pair (|i>, |j>) of the 4-dim space."""
@@ -112,10 +109,10 @@ class BellState(Enum):
 
     @classmethod
     def from_tag(cls, tag: str) -> "BellState":
-        for member in cls:
-            if member.value == tag:
-                return member
-        raise ValidationError(f"unknown Bell tag {tag!r}")
+        try:
+            return cls(tag)
+        except ValueError:
+            raise ValidationError(f"unknown Bell tag {tag!r}") from None
 
     def __str__(self) -> str:
         return self.value
@@ -220,7 +217,6 @@ class SuperpositionIdentity:
     """One checked identity: (a +/- b)/sqrt(2) equals a basis state."""
 
     label: str
-    combination: StateVector
     expected: StateVector
     deviation: float
 
@@ -233,37 +229,36 @@ def _identity(label: str, a: StateVector, b: StateVector, sign: int, index: int)
     combo = StateVector(2, (a.amps + sign * b.amps) / math.sqrt(2))
     expected = basis_state(2, index)
     deviation = float(np.max(np.abs(combo.amps - expected.amps)))
-    return SuperpositionIdentity(label, combo, expected, deviation)
+    return SuperpositionIdentity(label, expected, deviation)
+
+
+def _checked(entries: tuple[SuperpositionIdentity, ...]) -> tuple[SuperpositionIdentity, ...]:
+    for entry in entries:
+        if not entry.holds:
+            raise ValidationError(f"identity failed: {entry.label}")
+    return entries
 
 
 def bell_superpositions() -> tuple[SuperpositionIdentity, ...]:
     """The four inverse-Hadamard identities taking Bell pairs back to site states."""
     phi_p, phi_m = BellState.PHI_PLUS.vector(), BellState.PHI_MINUS.vector()
     psi_p, psi_m = BellState.PSI_PLUS.vector(), BellState.PSI_MINUS.vector()
-    entries = (
+    return _checked((
         _identity("(phi+ + phi-)/sqrt2 = |00>", phi_p, phi_m, +1, 0),
         _identity("(phi+ - phi-)/sqrt2 = |11>", phi_p, phi_m, -1, 3),
         _identity("(psi+ + psi-)/sqrt2 = |01>", psi_p, psi_m, +1, 1),
         _identity("(psi+ - psi-)/sqrt2 = |10>", psi_p, psi_m, -1, 2),
-    )
-    for entry in entries:
-        if not entry.holds:
-            raise ValidationError(f"identity failed: {entry.label}")
-    return entries
+    ))
 
 
 def h_state_superpositions() -> tuple[SuperpositionIdentity, ...]:
     """The six matching identities for the unentangled H pairs."""
     v = {m: m.vector() for m in HState}
-    entries = (
+    return _checked((
         _identity("(h0 + h1)/sqrt2 = |00>", v[HState.H0], v[HState.H1], +1, 0),
         _identity("(h0 - h1)/sqrt2 = |10>", v[HState.H0], v[HState.H1], -1, 2),
         _identity("(h2 + h3)/sqrt2 = |00>", v[HState.H2], v[HState.H3], +1, 0),
         _identity("(h2 - h3)/sqrt2 = |01>", v[HState.H2], v[HState.H3], -1, 1),
         _identity("(h4 + h5)/sqrt2 = |10>", v[HState.H4], v[HState.H5], +1, 2),
         _identity("(h4 - h5)/sqrt2 = |11>", v[HState.H4], v[HState.H5], -1, 3),
-    )
-    for entry in entries:
-        if not entry.holds:
-            raise ValidationError(f"identity failed: {entry.label}")
-    return entries
+    ))

@@ -115,7 +115,7 @@ class StateVector:
             n = obj["n"]
             pairs = obj["amps"]
             amps = np.array([complex(re, im) for re, im in pairs])
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:  # an int past the float range
             raise ValidationError(f"malformed state-vector JSON: {exc}") from exc
         return cls(n, amps)
 
@@ -245,6 +245,11 @@ def _probabilities(
     return basis, np.maximum(probs, 0.0)
 
 
+def _collapse(state: StateVector, basis: ProjectiveBasis, k: int, probability: float) -> StateVector:
+    """The state after outcome ``k`` of probability ``probability``: P_k psi / sqrt(p)."""
+    return StateVector(state.qubit_count, (basis.stack[k] @ state.amps) / np.sqrt(probability))
+
+
 def branch_probabilities(
     state: StateVector, projectors: "ProjectiveBasis | Sequence[np.ndarray]"
 ) -> np.ndarray:
@@ -274,8 +279,7 @@ def measure_projective(
     k = next((i for i, total in enumerate(accumulate(weights)) if total > r), len(weights) - 1)
     if weights[k] <= 0.0:  # float-boundary landing on a zero-width branch
         k = weights.index(max(weights))
-    collapsed = StateVector(state.qubit_count, (basis.stack[k] @ state.amps) / np.sqrt(weights[k]))
-    return k, collapsed, weights[k]
+    return k, _collapse(state, basis, k, weights[k]), weights[k]
 
 
 def computational_projectors(qubit_count: int) -> list[np.ndarray]:

@@ -33,6 +33,7 @@ from .statevec import (
     RandomSource,
     StateVector,
     ValidationError,
+    _collapse,
     branch_probabilities,
     measure_projective,
     overlap,
@@ -53,8 +54,11 @@ class InputQubit:
     beta: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
+        try:
+            object.__setattr__(self, "alpha", complex(self.alpha))
+            object.__setattr__(self, "beta", complex(self.beta))
+        except OverflowError as exc:  # an int past the float range
+            raise ValidationError(f"input qubit amplitude out of range: {exc}") from None
         try:
             sumsq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         except OverflowError:  # |alpha| or |beta| past about 1.3e154
@@ -145,8 +149,7 @@ def _bell_measure_full(
         prob = float(branch_probabilities(state, UA_BELL_BASIS)[k])
         if prob <= ATOL:
             raise ValidationError(f"cannot force outcome {forced}: branch probability {prob!r}")
-        collapsed = StateVector(3, (UA_BELL_BASIS.stack[k] @ state.amps) / np.sqrt(prob))
-        return BellOutcome(forced), collapsed, prob
+        return BellOutcome(forced), _collapse(state, UA_BELL_BASIS, k, prob), prob
     if rand is None:
         raise ValidationError("a RandomSource is required when no outcome is forced")
     k, collapsed, prob = measure_projective(state, UA_BELL_BASIS, rand)
@@ -198,6 +201,7 @@ def run_teleportation(
     bob_before = extract_bob_state(collapsed, outcome.tag)
     bob_after = StateVector(1, correction @ bob_before.amps)
     fidelity = abs(overlap(state, bob_after)) ** 2
+    bits = outcome.bit_string
 
     events = (
         TraceEvent(1, "system", "share-bell-pair",
@@ -205,9 +209,9 @@ def run_teleportation(
         TraceEvent(2, "alice", "attach-input",
                    {"input": state.to_json(), "state": joint.to_json()}),
         TraceEvent(3, "alice", "bell-measurement",
-                   {"outcome": outcome.tag.value, "bits": outcome.bit_string,
+                   {"outcome": outcome.tag.value, "bits": bits,
                     "probability": prob}),
-        TraceEvent(4, "alice", "send-bits", {"bits": str(outcome.message())}),
+        TraceEvent(4, "alice", "send-bits", {"bits": bits}),
         TraceEvent(5, "bob", "apply-correction",
                    {"correction": correction_name,
                     "before": bob_before.to_json(), "state": bob_after.to_json()}),

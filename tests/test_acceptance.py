@@ -135,7 +135,7 @@ def test_07_superdense_round_trip():
 
 
 def test_08_icl_model_laws():
-    diagram = IclDiagram(2, Sector.EVEN, +1)
+    diagram = IclDiagram(2, +1)
     parity_ok = True
     for n in range(17):
         want = BellState.PHI_PLUS if n % 2 == 0 else BellState.PSI_PLUS
@@ -169,8 +169,8 @@ def test_08_icl_model_laws():
         got = classify(StateVector(2, amps))
         expected_kind, payload = classify_oracle(amps)
         matched = {
-            "bell": lambda: got == IclClass.of_bell(BellState.from_tag(payload)),
-            "sector": lambda: got == IclClass.of_sector(Sector(payload)),
+            "bell": lambda: got == IclClass(IclKind.BELL, bell=BellState.from_tag(payload)),
+            "sector": lambda: got == IclClass(IclKind.SECTOR_CONFINED, sector=Sector(payload)),
             "product": lambda: got.kind is IclKind.PRODUCT,
             "generic": lambda: got.kind is IclKind.GENERIC,
         }[expected_kind]()

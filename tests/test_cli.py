@@ -1,5 +1,8 @@
 """Tests for argument parsing, subcommand behavior, and exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import socket
 import threading
@@ -9,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icl_qproto import harness
-from icl_qproto.cli import Command, UsageError, main, parse, verify
+from icl_qproto.cli import UsageError, main, parse, verify
 from icl_qproto.harness import Message2
 
 
@@ -19,18 +22,66 @@ _TELEPORT_ARGV = st.tuples(_COMPLEX, _COMPLEX).map(
     lambda ab: ["teleport", f"--alpha={ab[0]}", f"--beta={ab[1]}"]
 )
 
+# an integer amplitude past the float range, as JSON writes it
+_HUGE_INT_STATE = '{"n":2,"amps":[[1' + "0" * 400 + ',0],[0,0],[0,0],[0,0]]}'
+
+# --state: JSON numbers of any size, nan/inf, wrong shapes, or text that is not JSON
+_NUMBER = (
+    st.integers()
+    | st.integers(min_value=-(10**500), max_value=10**500)
+    | st.floats()
+    | st.sampled_from([0, 1, -1, 0.7071067811865476, -0.7071067811865476])
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+_AMP = st.lists(_NUMBER, min_size=2, max_size=2) | _JSON
+_STATE = (
+    st.fixed_dictionaries({
+        "n": st.just(2) | _JSON,
+        "amps": st.lists(_AMP, min_size=4, max_size=4) | st.lists(_AMP, max_size=9) | _JSON,
+    }).map(json.dumps)
+    | _JSON.map(json.dumps)
+    | st.text(max_size=20)
+)
+_FLAG = st.lists(st.sampled_from(["--json", "--help"]), max_size=2, unique=True)
+_TRACE = st.sampled_from([[], ["--trace", "{tmp}/t.jsonl"], ["--trace", "{tmp}/absent/t.jsonl"]])
+_MAIN_ARGV = st.one_of(
+    st.tuples(
+        st.just(["teleport"]),
+        st.tuples(_COMPLEX, _COMPLEX).map(lambda ab: [f"--alpha={ab[0]}", f"--beta={ab[1]}"]),
+        st.lists(st.tuples(st.sampled_from(["--seed", "--force-outcome"]),
+                           st.sampled_from(["0", "7", "phi+", "psi-"]) | st.text(max_size=6)),
+                 max_size=2).map(lambda pairs: [word for pair in pairs for word in pair]),
+        _TRACE, _FLAG,
+    ),
+    st.tuples(st.just(["superdense", "--message"]),
+              st.lists(st.sampled_from(["00", "01", "10", "11"]) | st.text(max_size=4),
+                       min_size=1, max_size=1),
+              _TRACE, _FLAG),
+    st.tuples(st.just(["bell"]), st.lists(st.sampled_from(["--list", "--json", "--help"]),
+                                          max_size=3, unique=True)),
+    st.tuples(st.just(["icl", "--state"]), st.lists(_STATE, min_size=1, max_size=1), _FLAG),
+    st.tuples(st.just(["verify"]),
+              st.lists(st.sampled_from(["all", "phase-space", "icl", "teleport", "superdense"])
+                       | st.text(max_size=6), max_size=1),
+              _FLAG),
+).map(lambda parts: [word for part in parts for word in part])
+
 
 class TestParse:
     def test_teleport_command(self):
         cmd = parse(["teleport", "--alpha", "1,0", "--beta", "0,0", "--seed", "7"])
-        assert cmd.name == "teleport"
-        assert cmd.options.alpha == 1.0 + 0j
-        assert cmd.options.beta == 0j
-        assert cmd.options.seed == 7
+        assert cmd.command == "teleport"
+        assert cmd.alpha == 1.0 + 0j
+        assert cmd.beta == 0j
+        assert cmd.seed == 7
 
     def test_teleport_renormalizes_truncated_decimals(self):
         cmd = parse(["teleport", "--alpha", "0.707107,0", "--beta", "0,0.707107"])
-        norm = abs(cmd.options.alpha) ** 2 + abs(cmd.options.beta) ** 2
+        norm = abs(cmd.alpha) ** 2 + abs(cmd.beta) ** 2
         assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_teleport_rejects_far_from_normalized(self):
@@ -51,13 +102,13 @@ class TestParse:
 
     def test_superdense_message_validated(self):
         cmd = parse(["superdense", "--message", "10"])
-        assert cmd.options.message == Message2(1, 0)
+        assert cmd.message == Message2(1, 0)
         with pytest.raises(UsageError):
             parse(["superdense", "--message", "2"])
 
     def test_bell_list(self):
         cmd = parse(["bell", "--list"])
-        assert cmd.name == "bell"
+        assert cmd.command == "bell"
         with pytest.raises(UsageError):
             parse(["bell"])
 
@@ -72,7 +123,7 @@ class TestParse:
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("ICL_QPROTO_SEED", "99")
         cmd = parse(["teleport", "--alpha", "1,0", "--beta", "0,0"])
-        assert cmd.options.seed == 99
+        assert cmd.seed == 99
         monkeypatch.setenv("ICL_QPROTO_SEED", "not-a-number")
         with pytest.raises(UsageError):
             parse(["teleport", "--alpha", "1,0", "--beta", "0,0"])
@@ -96,7 +147,7 @@ class TestParse:
             ["wire", "--role", "bob", "--endpoint", "127.0.0.1:9000",
              "--protocol", "superdense", "--message", "01"]
         )
-        assert cmd.options.endpoint == ("127.0.0.1", 9000)
+        assert cmd.endpoint == ("127.0.0.1", 9000)
         with pytest.raises(UsageError):
             parse(["wire", "--role", "bob", "--endpoint", "nocolon",
                    "--protocol", "superdense", "--message", "01"])
@@ -113,7 +164,7 @@ class TestParse:
         except SystemExit as exc:  # argparse --help path
             assert exc.code == 0
             return
-        assert isinstance(result, Command)
+        assert isinstance(result, argparse.Namespace)
 
 
 class TestMainExitCodes:
@@ -133,6 +184,30 @@ class TestMainExitCodes:
             assert main([*argv, "--alpha", "1e200,0", "--beta", "0,0"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+        # an integer amplitude past the float range: the same
+        assert main(["icl", "--state", _HUGE_INT_STATE]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --state: ") and err.count("\n") == 1, err
+
+    @settings(max_examples=100, deadline=None)
+    @given(_MAIN_ARGV)
+    @example(["icl", "--state", _HUGE_INT_STATE])
+    @example(["teleport", "--alpha=1e200,0", "--beta=0,0"])
+    @example(["teleport", "--alpha=0.6,0", "--beta=0,0.8", "--trace", "{tmp}/t.jsonl"])
+    @example(["icl", "--state", "[" * 3000 + "]" * 3000])  # nested past the recursion limit
+    @example(["verify", "--help"])
+    def test_main_exits_with_a_documented_code(self, tmp_path_factory, argv):
+        """main returns 0, 1, 2 or 3 and raises nothing but --help's SystemExit(0)."""
+        tmp = tmp_path_factory.getbasetemp()
+        argv = [word.replace("{tmp}", str(tmp)) for word in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 0 and "--help" in argv, (argv, exc.code)
+                return
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
 
     def test_io_error_is_three(self, tmp_path, capsys):
         missing = tmp_path / "absent" / "t.jsonl"
@@ -194,7 +269,7 @@ class TestSubcommands:
         assert outputs[0] == outputs[1]
         cmd = parse(["wire", "--role", "bob", "--endpoint", "h:1", "--protocol",
                      "teleport", "--alpha", "-.6,0", "--beta", "-0.8e0,-0"])
-        assert (cmd.options.alpha, cmd.options.beta) == (-0.6 + 0j, -0.8 + 0j)
+        assert (cmd.alpha, cmd.beta) == (-0.6 + 0j, -0.8 + 0j)
 
     def test_teleport_writes_trace(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"

@@ -190,6 +190,50 @@ def _raw_peer_to_bob(*chunks: "str | bytes", bob_timeout: float = 10.0):
     return reply, errors
 
 
+def _raw_peer_to_alice(data: bytes, alice_timeout: float = 10.0):
+    """Accept a teleport alice (seed 7), read her HELLO, answer with raw bytes, close.
+
+    Returns her HELLO line and what her run ended in: its status and
+    verdict, or the exception she raised.
+    """
+    outcome: list = []
+
+    def alice(port: int):
+        verdicts: list[str] = []
+        try:
+            status = run_wire_demo(
+                "alice",
+                "127.0.0.1",
+                port,
+                "teleport",
+                seed=7,
+                input_qubit=InputQubit(1, 0),
+                verdict_callback=verdicts.append,
+                timeout=alice_timeout,
+            )
+            outcome.append((status, verdicts))
+        except BaseException as exc:  # surfaced by the caller
+            outcome.append(exc)
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(10)
+        thread = threading.Thread(target=alice, args=(listener.getsockname()[1],))
+        thread.start()
+        conn, _ = listener.accept()
+    with conn, conn.makefile("rb") as wire:
+        conn.settimeout(10)
+        hello = wire.readline()
+        try:
+            conn.sendall(data)
+            conn.shutdown(socket.SHUT_WR)
+            wire.read()  # until alice closes, so closing here resets nothing she has yet to read
+        except (ConnectionResetError, BrokenPipeError):  # alice closed first
+            pass
+    thread.join(10)
+    assert not thread.is_alive(), "alice never finished"
+    return hello, outcome[0]
+
+
 _BOB_RUN = run_teleportation(InputQubit(1, 0), 7)  # what _raw_peer_to_bob's bob computes
 _VALID_SESSION = (
     f"HELLO v1 7\nCC {_BOB_RUN.events[3].payload['bits']}\n"
@@ -199,6 +243,8 @@ _PEER_LINE = st.sampled_from(_VALID_SESSION.split(b"\n")[:3] + [
     b"HELLO v0 7", b"HELLO v1 -5", b"HELLO v1 seven", b"CC 99", b"DONE fidelity=0.5",
     b"QUBIT-SENT", b"ERR closed",
 ]) | st.binary(max_size=40)
+# what a bob answers the seed-7 alice of _raw_peer_to_alice: the echo, then his verdict
+_ALICE_REPLY = f"HELLO v1 7\nDONE fidelity={_BOB_RUN.verdict['fidelity']!r}\n".encode("ascii")
 # raw bytes, or lines drawn from a session and its near misses, with an optional unended tail
 _PEER_BYTES = st.binary(max_size=2 * MAX_LINE_LENGTH) | st.builds(
     lambda lines, tail: b"".join(line + b"\n" for line in lines) + tail,
@@ -222,6 +268,21 @@ class TestWireDemo:
             assert reply.startswith("ERR "), (reply, errors)
         else:
             assert reply == f"DONE fidelity={_BOB_RUN.verdict['fidelity']!r}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(_PEER_BYTES)
+    @example(_ALICE_REPLY)
+    @example(b"HELLO v1 7\nDONE fidelity=0.5\n")
+    @example(b"")
+    def test_any_peer_bytes_end_alice_in_an_error_or_a_valid_session(self, data):
+        start = time.monotonic()
+        hello, outcome = _raw_peer_to_alice(data, alice_timeout=5.0)
+        assert time.monotonic() - start < 2.5
+        assert hello == b"HELLO v1 7\n"
+        if data.startswith(_ALICE_REPLY):
+            assert outcome == (0, [f"fidelity={_BOB_RUN.verdict['fidelity']!r}"]), outcome
+        else:
+            assert isinstance(outcome, (HandshakeError, TransportError, ValidationError)), outcome
 
     def test_teleport_verdicts_match_in_process(self):
         u = InputQubit(0.6, 0.8)

@@ -28,22 +28,23 @@ from oracles import BELL, classify_oracle, random_state
 
 
 class TestDiagramInvariants:
-    def test_sector_must_match_parity(self):
-        with pytest.raises(ValidationError):
-            IclDiagram(2, Sector.ODD, +1)
-        with pytest.raises(ValidationError):
-            IclDiagram(3, Sector.EVEN, +1)
+    def test_sector_is_chain_parity(self):
+        for n in range(9):
+            for phase in (+1, -1):
+                d = IclDiagram(n, phase)
+                assert d.sector is (Sector.EVEN if n % 2 == 0 else Sector.ODD)
+                assert d.to_json()["sector"] == d.sector.value
 
     def test_phase_must_be_sign(self):
         with pytest.raises(ValidationError):
-            IclDiagram(2, Sector.EVEN, 0)
+            IclDiagram(2, 0)
 
     def test_negative_chain_rejected(self):
         with pytest.raises(ValidationError):
-            IclDiagram(-1, Sector.ODD, +1)
+            IclDiagram(-1, +1)
 
     def test_json_form(self):
-        assert IclDiagram(3, Sector.ODD, -1).to_json() == {
+        assert IclDiagram(3, -1).to_json() == {
             "chain": 3,
             "sector": "odd",
             "phase": -1,
@@ -52,36 +53,36 @@ class TestDiagramInvariants:
 
 class TestDiagramToState:
     def test_two_link_even_chain_is_phi_plus(self):
-        state = diagram_to_state(IclDiagram(2, Sector.EVEN, +1))
+        state = diagram_to_state(IclDiagram(2, +1))
         np.testing.assert_allclose(state.amps, BELL["phi+"], atol=1e-15)
 
     def test_one_link_odd_chain_is_psi_plus(self):
-        state = diagram_to_state(IclDiagram(1, Sector.ODD, +1))
+        state = diagram_to_state(IclDiagram(1, +1))
         np.testing.assert_allclose(state.amps, BELL["psi+"], atol=1e-15)
 
     def test_chain_length_beyond_parity_is_irrelevant(self):
-        short = diagram_to_state(IclDiagram(2, Sector.EVEN, +1))
-        long = diagram_to_state(IclDiagram(4, Sector.EVEN, +1))
+        short = diagram_to_state(IclDiagram(2, +1))
+        long = diagram_to_state(IclDiagram(4, +1))
         assert short.isclose(long)
 
 
 class TestExtendSigmaX:
     def test_grows_chain_and_flips_sector(self):
-        grown = extend_sigma_x(IclDiagram(2, Sector.EVEN, +1))
-        assert grown == IclDiagram(3, Sector.ODD, +1)
+        grown = extend_sigma_x(IclDiagram(2, +1))
+        assert grown == IclDiagram(3, +1)
         assert diagram_to_state(grown).isclose(StateVector(2, BELL["psi+"]))
 
     def test_twice_returns_to_phi_plus(self):
-        d = extend_sigma_x(extend_sigma_x(IclDiagram(2, Sector.EVEN, +1)))
-        assert d == IclDiagram(4, Sector.EVEN, +1)
+        d = extend_sigma_x(extend_sigma_x(IclDiagram(2, +1)))
+        assert d == IclDiagram(4, +1)
         assert diagram_to_state(d).isclose(StateVector(2, BELL["phi+"]))
 
     def test_psi_minus_to_phi_minus_up_to_phase(self):
         # oracle: sigma_x on qubit 1 of psi- gives -phi-
         flipped = np.kron(SIGMA_X, np.eye(2)) @ BELL["psi-"]
         np.testing.assert_allclose(flipped, -BELL["phi-"], atol=1e-15)
-        grown = extend_sigma_x(IclDiagram(1, Sector.ODD, -1))
-        assert grown == IclDiagram(2, Sector.EVEN, -1)
+        grown = extend_sigma_x(IclDiagram(1, -1))
+        assert grown == IclDiagram(2, -1)
         assert equal_up_to_global_phase(diagram_to_state(grown), StateVector(2, flipped))
 
     def test_commutes_with_matrix_action(self):
@@ -92,7 +93,7 @@ class TestExtendSigmaX:
             assert equal_up_to_global_phase(grown, acted)
 
     def test_parity_law(self):
-        d = IclDiagram(2, Sector.EVEN, +1)
+        d = IclDiagram(2, +1)
         for n in range(17):
             want = BellState.PSI_PLUS if n % 2 else BellState.PHI_PLUS
             assert d.chain_length == 2 + n
@@ -102,16 +103,16 @@ class TestExtendSigmaX:
 
 class TestApplySigmaZ:
     def test_phi_plus_to_phi_minus(self):
-        d = apply_sigma_z(IclDiagram(2, Sector.EVEN, +1))
-        assert d == IclDiagram(2, Sector.EVEN, -1)
+        d = apply_sigma_z(IclDiagram(2, +1))
+        assert d == IclDiagram(2, -1)
         assert diagram_to_state(d).isclose(StateVector(2, BELL["phi-"]))
 
     def test_psi_plus_to_psi_minus(self):
-        d = apply_sigma_z(IclDiagram(1, Sector.ODD, +1))
+        d = apply_sigma_z(IclDiagram(1, +1))
         assert diagram_to_state(d).isclose(StateVector(2, BELL["psi-"]))
 
     def test_involution(self):
-        d = IclDiagram(5, Sector.ODD, -1)
+        d = IclDiagram(5, -1)
         assert apply_sigma_z(apply_sigma_z(d)) == d
 
     def test_commutes_with_matrix_action(self):
@@ -124,8 +125,8 @@ class TestApplySigmaZ:
 
 class TestStateToDiagram:
     def test_minimal_lengths(self):
-        assert state_to_diagram(BellState.PHI_MINUS) == IclDiagram(2, Sector.EVEN, -1)
-        assert state_to_diagram(BellState.PSI_PLUS) == IclDiagram(1, Sector.ODD, +1)
+        assert state_to_diagram(BellState.PHI_MINUS) == IclDiagram(2, -1)
+        assert state_to_diagram(BellState.PSI_PLUS) == IclDiagram(1, +1)
 
     def test_round_trip_all_tags(self):
         for tag in BELL_ORDER:
@@ -136,11 +137,11 @@ class TestStateToDiagram:
 class TestClassify:
     def test_bell_states_detected(self):
         result = classify(StateVector(2, BELL["phi+"]))
-        assert result == IclClass.of_bell(BellState.PHI_PLUS)
+        assert result == IclClass(IclKind.BELL, bell=BellState.PHI_PLUS)
 
     def test_bell_detection_ignores_global_phase(self):
         rotated = StateVector(2, np.exp(0.3j) * BELL["psi-"])
-        assert classify(rotated) == IclClass.of_bell(BellState.PSI_MINUS)
+        assert classify(rotated) == IclClass(IclKind.BELL, bell=BellState.PSI_MINUS)
 
     def test_h_states_are_products(self):
         for member in HState:
@@ -151,7 +152,7 @@ class TestClassify:
         # determinant oracle on the reshaped 2x2 matrix
         det = (2 / np.sqrt(5)) * (1 / np.sqrt(5))
         assert abs(det) > 1e-9
-        assert classify(state) == IclClass.of_sector(Sector.EVEN)
+        assert classify(state) == IclClass(IclKind.SECTOR_CONFINED, sector=Sector.EVEN)
 
     def test_cross_sector_entangled_is_generic(self):
         state = StateVector(2, np.array([0.8, 0.1, 0.1, 0.58309518948453]))
@@ -172,9 +173,9 @@ class TestClassify:
                 got = classify(StateVector(2, amps))
                 kind, payload = classify_oracle(amps)
                 if kind == "bell":
-                    assert got == IclClass.of_bell(BellState.from_tag(payload))
+                    assert got == IclClass(IclKind.BELL, bell=BellState.from_tag(payload))
                 elif kind == "sector":
-                    assert got == IclClass.of_sector(Sector(payload))
+                    assert got == IclClass(IclKind.SECTOR_CONFINED, sector=Sector(payload))
                 elif kind == "product":
                     assert got.kind is IclKind.PRODUCT
                 else:

@@ -97,6 +97,14 @@ class TestStateVector:
         assert again.isclose(state)
         assert state.to_json()["n"] == 2
 
+    def test_from_json_rejects_an_int_beyond_the_float_range(self):
+        huge = 10**400  # JSON has arbitrary-size integers; complex() cannot take this one
+        with pytest.raises(ValidationError, match="malformed state-vector JSON"):
+            StateVector.from_json({"n": 1, "amps": [[huge, 0], [0, 0]]})
+        with pytest.raises(ValidationError, match="malformed state-vector JSON"):
+            StateVector.from_json({"n": 1, "amps": [[0, 0], [1, -huge]]})
+        assert StateVector.from_json({"n": 1, "amps": [[0, -1], [0, 0]]}).amps.tolist() == [-1j, 0j]
+
     def test_from_amplitudes_infers_count(self):
         assert StateVector.from_amplitudes(BELL["phi+"]).qubit_count == 2
         with pytest.raises(DimensionError):

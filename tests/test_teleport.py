@@ -37,6 +37,9 @@ class TestInputQubit:
             InputQubit(1.0, 1.0)
         with pytest.raises(ValidationError):  # |alpha|^2 overflows a double
             InputQubit(1e200, 0)
+        for alpha, beta in ((10**400, 0), (0, -(10**400))):  # complex() cannot take the int
+            with pytest.raises(ValidationError):
+                InputQubit(alpha, beta)
 
     def test_state_round_trip(self):
         u = InputQubit(0.6, 0.8j)
