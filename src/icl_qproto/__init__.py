@@ -39,6 +39,7 @@ from .statevec import (
     SIGMA_X,
     SIGMA_Z,
     DimensionError,
+    Matrix,
     ProjectiveBasis,
     RandomSource,
     StateVector,

@@ -1,4 +1,4 @@
-"""Command-line front end: protocols, state inspection, verification suites.
+"""Command-line front end: protocols, state inspection, the verification suites.
 
 Subcommands: teleport, superdense, bell, icl, verify, wire. Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 I/O or transport
@@ -14,12 +14,9 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import Any, Sequence
 
-import numpy as np
-
-from . import harness, icl, phasespace, superdense, teleport
+from . import harness, icl, superdense, teleport
 from .harness import (
     MAX_SEED,
     SEED_ENV_VAR,
@@ -30,16 +27,8 @@ from .harness import (
     emit_trace,
 )
 from .phasespace import BELL_ORDER, BellState, HState
-from .statevec import (
-    SIGMA_X,
-    SIGMA_Z,
-    StateVector,
-    ValidationError,
-    apply_1q,
-    branch_probabilities,
-    overlap,
-    tensor,
-)
+from .statevec import StateVector, ValidationError
+from .verify import SUITES, verify
 
 class UsageError(Exception):
     """Command line could not be parsed into a valid command."""
@@ -123,9 +112,9 @@ def build_parser() -> _Parser:
     icl_cmd.add_argument("--state", required=True, metavar="JSON")
     icl_cmd.add_argument("--json", action="store_true")
 
-    verify = sub.add_parser("verify", help="run the identity checks")
-    verify.add_argument("suite", nargs="?", choices=["all", *_SUITE_CHECKS], default="all")
-    verify.add_argument("--json", action="store_true")
+    verify_cmd = sub.add_parser("verify", help="run the identity checks")
+    verify_cmd.add_argument("suite", nargs="?", choices=["all", *SUITES], default="all")
+    verify_cmd.add_argument("--json", action="store_true")
 
     wire = sub.add_parser("wire", help="two-process demo over TCP")
     wire.add_argument("--role", choices=["alice", "bob"], required=True)
@@ -210,198 +199,6 @@ def parse(argv: Sequence[str]) -> argparse.Namespace:
         if ns.seed is None:
             ns.seed = _env_seed()
     return ns
-
-
-# --- verification suites ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    deviation: float
-    bound: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "deviation", float(self.deviation))
-        object.__setattr__(self, "bound", float(self.bound))
-
-    @property
-    def passed(self) -> bool:
-        return self.deviation <= self.bound
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{self.name}: {status} (max dev {self.deviation:.3e}, bound {self.bound:.0e})"
-
-
-def _random_inputs(count: int, seed: int = 7) -> list[teleport.InputQubit]:
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        raw = rng.normal(size=2) + 1j * rng.normal(size=2)
-        raw /= np.linalg.norm(raw)
-        out.append(teleport.InputQubit(raw[0], raw[1]))
-    return out
-
-
-def _check_phase_space() -> list[CheckResult]:
-    results = []
-    m = phasespace.dft4()
-    results.append(
-        CheckResult("dft4-unitarity", float(np.max(np.abs(m @ m.conj().T - np.eye(4)))), 1e-12)
-    )
-    expected = {
-        BellState.PHI_PLUS: np.array([1, 0, 0, 1]) / math.sqrt(2),
-        BellState.PHI_MINUS: np.array([1, 0, 0, -1]) / math.sqrt(2),
-        BellState.PSI_PLUS: np.array([0, 1, 1, 0]) / math.sqrt(2),
-        BellState.PSI_MINUS: np.array([0, 1, -1, 0]) / math.sqrt(2),
-    }
-    dev = max(
-        float(np.max(np.abs(tag.vector().amps - expected[tag]))) for tag in BELL_ORDER
-    )
-    results.append(CheckResult("bell-construction", dev, 1e-12))
-    vectors = np.array([tag.vector().amps for tag in BELL_ORDER])
-    gram = vectors.conj() @ vectors.T
-    results.append(
-        CheckResult("bell-orthonormality", float(np.max(np.abs(gram - np.eye(4)))), 1e-12)
-    )
-    results.append(
-        CheckResult("transform-round-trip", float(np.max(np.abs(m.conj().T @ m - np.eye(4)))), 1e-12)
-    )
-    identities = phasespace.bell_superpositions() + phasespace.h_state_superpositions()
-    results.append(
-        CheckResult(
-            "superposition-identities",
-            max(entry.deviation for entry in identities),
-            1e-12,
-        )
-    )
-    dev = max(
-        abs(phasespace.pair_determinant(member.vector())) for member in phasespace.h_states()
-    )
-    results.append(CheckResult("h-state-separability", dev, 1e-12))
-    return results
-
-
-def _check_icl() -> list[CheckResult]:
-    results = []
-    diagram = icl.IclDiagram(2, +1)
-    failures = 0.0
-    for n in range(17):
-        want = BellState.PHI_PLUS if n % 2 == 0 else BellState.PSI_PLUS
-        state = icl.diagram_to_state(diagram)
-        if diagram.chain_length != 2 + n or not state.isclose(want.vector()):
-            failures += 1
-        diagram = icl.extend_sigma_x(diagram)
-    results.append(CheckResult("chain-parity-law", failures, 0.0))
-
-    dev = 0.0
-    for tag in BELL_ORDER:
-        state = icl.diagram_to_state(icl.state_to_diagram(tag))
-        dev = max(dev, abs(abs(overlap(state, tag.vector())) - 1.0))
-    results.append(CheckResult("diagram-round-trip", dev, 1e-12))
-
-    dev = 0.0
-    for tag in BELL_ORDER:
-        d = icl.state_to_diagram(tag)
-        grown = icl.diagram_to_state(icl.extend_sigma_x(d))
-        flipped = apply_1q(icl.diagram_to_state(d), SIGMA_X, 1)
-        dev = max(dev, abs(abs(overlap(grown, flipped)) - 1.0))
-        phased = icl.diagram_to_state(icl.apply_sigma_z(d))
-        rotated = apply_1q(icl.diagram_to_state(d), SIGMA_Z, 1)
-        dev = max(dev, abs(abs(overlap(phased, rotated)) - 1.0))
-    results.append(CheckResult("pauli-commutation", dev, 1e-12))
-
-    wrong = 0.0
-    for member in phasespace.h_states():
-        if icl.classify(member.vector()).kind is not icl.IclKind.PRODUCT:
-            wrong += 1
-    for tag in BELL_ORDER:
-        got = icl.classify(tag.vector())
-        if got.kind is not icl.IclKind.BELL or got.bell is not tag:
-            wrong += 1
-    results.append(CheckResult("classifier-canonical-states", wrong, 0.0))
-    return results
-
-
-def _check_teleport() -> list[CheckResult]:
-    results = []
-    inputs = _random_inputs(100)
-    dev = 0.0
-    for u in inputs:
-        joint = tensor(u.state(), BellState.PHI_PLUS.vector())
-        rebuilt = teleport.decompose(u).reconstruct()
-        dev = max(dev, float(np.max(np.abs(rebuilt.amps - joint.amps))))
-    results.append(CheckResult("decomposition-reconstruction", dev, 1e-10))
-
-    dev = 0.0
-    for u in inputs[:25]:
-        joint = tensor(u.state(), BellState.PHI_PLUS.vector())
-        probs = branch_probabilities(joint, teleport.UA_BELL_BASIS)
-        dev = max(dev, float(np.max(np.abs(probs - 0.25))))
-    results.append(CheckResult("branch-probabilities", dev, 1e-12))
-
-    dev = 0.0
-    for u in inputs[:25]:
-        for tag in BELL_ORDER:
-            trace = teleport.run_teleportation(u, 0, force_outcome=tag)
-            dev = max(dev, 1.0 - trace.verdict["fidelity"])
-    results.append(CheckResult("forced-outcome-fidelity", dev, 1e-10))
-
-    dev = 0.0
-    for u in inputs[:25]:
-        entries = teleport.decompose(u).entries
-        marginal = sum(e.coefficient**2 * e.conditional_bob.probabilities() for e in entries)
-        dev = max(dev, float(np.max(np.abs(marginal - 0.5))))
-    results.append(CheckResult("no-signaling-marginal", dev, 1e-12))
-    return results
-
-
-def _check_superdense() -> list[CheckResult]:
-    results = []
-    messages = [Message2(b1, b0) for b1 in (0, 1) for b0 in (0, 1)]
-    wrong = sum(
-        1.0 for m in messages if superdense.decode(superdense.encode(m)) != m
-    )
-    results.append(CheckResult("round-trip", wrong, 0.0))
-
-    encoded = [superdense.encode(m) for m in messages]
-    dev = max(
-        abs(overlap(encoded[i], encoded[j]))
-        for i in range(4)
-        for j in range(4)
-        if i != j
-    )
-    results.append(CheckResult("encoded-orthogonality", dev, 1e-12))
-
-    dev = 0.0
-    for state in encoded:
-        probs = state.probabilities()
-        for value in (probs[0] + probs[2], probs[1] + probs[3]):
-            dev = max(dev, abs(value - 0.5))
-    results.append(CheckResult("receiver-marginal", dev, 1e-12))
-
-    dev = 0.0
-    for state in encoded:
-        probs = branch_probabilities(state, phasespace.BELL_BASIS)
-        dev = max(dev, abs(1.0 - float(np.max(probs))))
-    results.append(CheckResult("decode-certainty", dev, 1e-12))
-    return results
-
-
-_SUITE_CHECKS = {
-    "phase-space": _check_phase_space,
-    "icl": _check_icl,
-    "teleport": _check_teleport,
-    "superdense": _check_superdense,
-}
-
-
-def verify(suite: str) -> list[CheckResult]:
-    """Run one identity suite (or all of them) and return the results."""
-    if suite == "all":
-        return [result for check in _SUITE_CHECKS.values() for result in check()]
-    return _SUITE_CHECKS[suite]()
 
 
 # --- command execution -------------------------------------------------------

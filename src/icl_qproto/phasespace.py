@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .statevec import (
     ATOL,
     HADAMARD,
@@ -30,29 +28,28 @@ from .statevec import (
     SIGMA_X,
     SIGMA_Z,
     DimensionError,
+    Matrix,
     ProjectiveBasis,
     StateVector,
     ValidationError,
     basis_state,
-    readonly,
+    max_deviation,
 )
 
-# exp(i * pi/2 * m) for m = 0..3, exact in doubles
-_QUARTER_TURNS = np.array([1, 1j, -1, -1j], dtype=complex)
+# exp(i * pi/2 * m) / 2 for m = 0..3, exact in doubles
+_QUARTER_TURNS = (0.5 + 0j, 0.5j, -0.5 + 0j, complex(0.0, -0.5))
 
 
-def dft4() -> np.ndarray:
+def dft4() -> Matrix:
     """Forward four-point transform: row n is the momentum state k_n = (2*pi/4)*n.
 
     Entry (n, R) is (1/2) * exp(i k_n R) on site R = 0..3, the basis
     |00>, |01>, |10>, |11>; the inverse is the conjugate transpose.
     """
-    return _DFT4.copy()
+    return _DFT4
 
 
-_DFT4 = readonly(
-    np.array([[_QUARTER_TURNS[(n * r) % 4] for r in range(4)] for n in range(4)]) / 2.0
-)
+_DFT4 = Matrix([[_QUARTER_TURNS[(n * r) % 4] for r in range(4)] for n in range(4)])
 
 
 class Sector(Enum):
@@ -66,10 +63,9 @@ class Sector(Enum):
         return (0, 3) if self is Sector.EVEN else (1, 2)
 
 
-def _hadamard_pair(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+def _hadamard_pair(i: int, j: int) -> tuple[list[complex], list[complex]]:
     """Apply the 2x2 Hadamard to the basis pair (|i>, |j>) of the 4-dim space."""
-    e = np.eye(4, dtype=complex)
-    return tuple(row[0] * e[i] + row[1] * e[j] for row in HADAMARD)  # type: ignore[return-value]
+    return tuple([hi if k == i else hj if k == j else 0j for k in range(4)] for hi, hj in HADAMARD)
 
 
 class BellState(Enum):
@@ -144,7 +140,7 @@ def contract_bell(sector: Sector) -> tuple[BellState, BellState]:
 
 
 BELL_BASIS = ProjectiveBasis(
-    [np.outer(tag.vector().amps, tag.vector().amps.conj()) for tag in BELL_ORDER]
+    [[[x * y.conjugate() for y in tag.vector().amps] for x in tag.vector().amps] for tag in BELL_ORDER]
 )
 
 # The local Pauli on qubit 1 that turns phi+ into each Bell state. It is
@@ -153,7 +149,7 @@ PAULI_TABLE = {
     BellState.PHI_PLUS: ("identity", IDENTITY2),
     BellState.PHI_MINUS: ("sigma_z", SIGMA_Z),
     BellState.PSI_PLUS: ("sigma_x", SIGMA_X),
-    BellState.PSI_MINUS: ("sigma_z*sigma_x", readonly(SIGMA_Z @ SIGMA_X)),
+    BellState.PSI_MINUS: ("sigma_z*sigma_x", SIGMA_Z @ SIGMA_X),
 }
 
 
@@ -226,9 +222,9 @@ class SuperpositionIdentity:
 
 
 def _identity(label: str, a: StateVector, b: StateVector, sign: int, index: int) -> SuperpositionIdentity:
-    combo = StateVector(2, (a.amps + sign * b.amps) / math.sqrt(2))
+    combo = StateVector(2, [(x + sign * y) / math.sqrt(2) for x, y in zip(a.amps, b.amps)])
     expected = basis_state(2, index)
-    deviation = float(np.max(np.abs(combo.amps - expected.amps)))
+    deviation = max_deviation(combo.amps, expected.amps)
     return SuperpositionIdentity(label, expected, deviation)
 
 

@@ -14,11 +14,9 @@ Bit assignment (mirrors the teleportation outcome encoding):
 
 from __future__ import annotations
 
-import numpy as np
-
 from .harness import Message2, ProtocolTrace, TraceEvent
 from .phasespace import BELL_BASIS, BELL_ORDER, PAULI_TABLE, BellState
-from .statevec import ATOL, DimensionError, StateVector, apply_1q, branch_probabilities
+from .statevec import ATOL, DimensionError, Matrix, StateVector, apply_1q, branch_probabilities
 
 
 class ResourceError(ValueError):
@@ -29,7 +27,7 @@ class DecodeError(ValueError):
     """The received state is not a Bell state, so it carries no message."""
 
 
-def encoding_table() -> dict[Message2, tuple[np.ndarray, BellState]]:
+def encoding_table() -> dict[Message2, tuple[Matrix, BellState]]:
     """Message -> (Alice's unitary, resulting Bell state); a bijection."""
     return {Message2(*tag.bits): (PAULI_TABLE[tag][1], tag) for tag in BELL_ORDER}
 
@@ -49,12 +47,10 @@ def _bell_branch(state: StateVector) -> tuple[BellState, float]:
     if state.qubit_count != 2:
         raise DimensionError("decode expects a two-qubit state")
     probs = branch_probabilities(state, BELL_BASIS)
-    k = int(np.argmax(probs))
-    if probs[k] < 1.0 - ATOL:
-        raise DecodeError(
-            f"state is not a Bell state: best branch probability {probs[k]!r}"
-        )
-    return BELL_ORDER[k], float(probs[k])
+    best = max(probs)
+    if best < 1.0 - ATOL:
+        raise DecodeError(f"state is not a Bell state: best branch probability {best!r}")
+    return BELL_ORDER[probs.index(best)], best
 
 
 def decode(state: StateVector) -> Message2:

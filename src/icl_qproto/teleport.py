@@ -19,21 +19,21 @@ carry observably).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .harness import Message2, ProtocolTrace, TraceEvent
 from .phasespace import BELL_BASIS, BELL_ORDER, PAULI_TABLE, BellState
 from .statevec import (
     ATOL,
-    IDENTITY2,
     DimensionError,
-    ProjectiveBasis,
+    Matrix,
     RandomSource,
     StateVector,
     ValidationError,
     _collapse,
+    _divided,
+    _dot,
     branch_probabilities,
     measure_projective,
     overlap,
@@ -43,7 +43,7 @@ from .statevec import (
 
 
 # Bell projectors on (U, A) extended with identity on B.
-UA_BELL_BASIS = ProjectiveBasis([np.kron(p, IDENTITY2) for p in BELL_BASIS])
+UA_BELL_BASIS = BELL_BASIS.tensor_identity()
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ class InputQubit:
         try:
             sumsq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         except OverflowError:  # |alpha| or |beta| past about 1.3e154
-            sumsq = np.inf
-        if not np.isfinite(sumsq) or abs(sumsq - 1.0) > ATOL:
+            sumsq = math.inf
+        if not math.isfinite(sumsq) or abs(sumsq - 1.0) > ATOL:
             raise ValidationError(f"input qubit is not normalized: |a|^2+|b|^2 = {sumsq!r}")
 
     def state(self) -> StateVector:
@@ -92,7 +92,7 @@ class BellOutcome:
 class TeleportEntry:
     bell: BellState
     conditional_bob: StateVector
-    correction: np.ndarray
+    correction: Matrix
     coefficient: float = 0.5
 
 
@@ -110,10 +110,10 @@ class TeleportDecomposition:
 
     def reconstruct(self) -> StateVector:
         """Re-sum the branches; equals the joint input state U (x) phi+."""
-        total = sum(
-            e.coefficient * np.kron(e.bell.vector().amps, e.conditional_bob.amps)
-            for e in self.entries
-        )
+        total = [0j] * 8
+        for e in self.entries:
+            for i, z in enumerate(tensor(e.bell.vector(), e.conditional_bob).amps):
+                total[i] += e.coefficient * z
         return StateVector(3, total)
 
 
@@ -125,13 +125,13 @@ def decompose(u: InputQubit) -> TeleportDecomposition:
     """
     amps = u.state().amps
     entries = tuple(
-        TeleportEntry(tag, StateVector(1, correction.conj().T @ amps), correction)
+        TeleportEntry(tag, StateVector(1, correction.dagger() @ amps), correction)
         for tag, (_, correction) in PAULI_TABLE.items()
     )
     return TeleportDecomposition(entries)  # type: ignore[arg-type]
 
 
-def correction_for(outcome: "BellOutcome | BellState") -> np.ndarray:
+def correction_for(outcome: "BellOutcome | BellState") -> Matrix:
     """Bob's correction unitary for a Bell outcome."""
     tag = outcome.tag if isinstance(outcome, BellOutcome) else outcome
     return PAULI_TABLE[tag][1]
@@ -174,11 +174,13 @@ def extract_bob_state(collapsed: StateVector, tag: BellState) -> StateVector:
     """Bob's qubit after the (U, A) register collapsed onto ``tag``."""
     if collapsed.qubit_count != 3:
         raise DimensionError("expected the collapsed 3-qubit state")
-    amps = tag.vector().amps.conj() @ collapsed.amps.reshape(4, 2)
-    norm = np.linalg.norm(amps)
+    bell = [b.conjugate() for b in tag.vector().amps]
+    bob = [_dot(bell, collapsed.amps[j::2]) for j in (0, 1)]
+    (r0, i0), (r1, i1) = ((z.real, z.imag) for z in bob)
+    norm = math.sqrt((r0 * r0 + r1 * r1) + (i0 * i0 + i1 * i1))  # real parts, then imaginary
     if norm <= ATOL:
         raise ValidationError(f"collapsed state carries no {tag} component")
-    return StateVector(1, amps / norm)
+    return StateVector(1, _divided(bob, norm))
 
 
 def run_teleportation(

@@ -47,7 +47,7 @@ def _random_inputs(count: int, seed: int) -> list[InputQubit]:
 
 
 def test_01_dft_unitarity():
-    m = dft4()
+    m = np.asarray(dft4())
     dev = float(np.max(np.abs(m @ m.conj().T - np.eye(4))))
     _report(1, "dft4-unitarity", dev < 1e-12, f"max dev {dev:.3e}")
 
@@ -91,8 +91,8 @@ def test_05_teleport_reconstruction():
     for u in _random_inputs(100, seed=20_250_101):
         joint = tensor(u.state(), BellState.PHI_PLUS.vector())
         rebuilt = decompose(u).reconstruct()
-        recon_dev = max(recon_dev, float(np.max(np.abs(rebuilt.amps - joint.amps))))
-        probs = branch_probabilities(joint, UA_BELL_BASIS)
+        recon_dev = max(recon_dev, float(np.max(np.abs(np.subtract(rebuilt.amps, joint.amps)))))
+        probs = np.asarray(branch_probabilities(joint, UA_BELL_BASIS))
         prob_dev = max(prob_dev, float(np.max(np.abs(probs - 0.25))))
     passed = recon_dev < 1e-10 and prob_dev < 1e-12
     _report(

@@ -6,6 +6,7 @@ import io
 import json
 import socket
 import threading
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,8 @@ _TELEPORT_ARGV = st.tuples(_COMPLEX, _COMPLEX).map(
 
 # an integer amplitude past the float range, as JSON writes it
 _HUGE_INT_STATE = '{"n":2,"amps":[[1' + "0" * 400 + ',0],[0,0],[0,0],[0,0]]}'
+# a finite amplitude whose square is past the float range
+_HUGE_FLOAT_STATE = '{"n":2,"amps":[[1e200,0],[0,0],[0,0],[0,0]]}'
 
 # --state: JSON numbers of any size, nan/inf, wrong shapes, or text that is not JSON
 _NUMBER = (
@@ -184,30 +187,37 @@ class TestMainExitCodes:
             assert main([*argv, "--alpha", "1e200,0", "--beta", "0,0"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
-        # an integer amplitude past the float range: the same
-        assert main(["icl", "--state", _HUGE_INT_STATE]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: --state: ") and err.count("\n") == 1, err
+        # an integer amplitude past the float range, or a float whose square overflows: the same
+        for state in (_HUGE_INT_STATE, _HUGE_FLOAT_STATE):
+            assert main(["icl", "--state", state]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --state: ") and err.count("\n") == 1, err
 
     @settings(max_examples=100, deadline=None)
     @given(_MAIN_ARGV)
     @example(["icl", "--state", _HUGE_INT_STATE])
+    @example(["icl", "--state", _HUGE_FLOAT_STATE])
     @example(["teleport", "--alpha=1e200,0", "--beta=0,0"])
     @example(["teleport", "--alpha=0.6,0", "--beta=0,0.8", "--trace", "{tmp}/t.jsonl"])
     @example(["icl", "--state", "[" * 3000 + "]" * 3000])  # nested past the recursion limit
     @example(["verify", "--help"])
     def test_main_exits_with_a_documented_code(self, tmp_path_factory, argv):
-        """main returns 0, 1, 2 or 3 and raises nothing but --help's SystemExit(0)."""
+        """main returns 0, 1, 2 or 3, raises nothing but --help's SystemExit(0), and warns nothing.
+
+        A warning is raised as an error here, so one cannot hide in a captured stream.
+        """
         tmp = tmp_path_factory.getbasetemp()
         argv = [word.replace("{tmp}", str(tmp)) for word in argv]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
             try:
                 code = main(argv)
             except SystemExit as exc:
                 assert exc.code == 0 and "--help" in argv, (argv, exc.code)
                 return
         assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), (argv, err.getvalue())
 
     def test_io_error_is_three(self, tmp_path, capsys):
         missing = tmp_path / "absent" / "t.jsonl"

@@ -220,6 +220,6 @@ class TestRunTeleportation:
             u = random_input(rng)
             entries = decompose(u).entries
             marginal = sum(
-                e.coefficient**2 * e.conditional_bob.probabilities() for e in entries
+                e.coefficient**2 * np.asarray(e.conditional_bob.probabilities()) for e in entries
             )
             np.testing.assert_allclose(marginal, [0.5, 0.5], atol=1e-12)
