@@ -74,7 +74,9 @@ def _seed_value(text: str) -> int:
 
 def _endpoint(text: str) -> tuple[str, int]:
     host, sep, port_text = text.rpartition(":")
-    if not sep or not host:
+    if host.startswith("[") and host.endswith("]"):  # an IPv6 literal, as in [::1]:9000
+        host = host[1:-1]
+    if not sep or not host or "[" in host or "]" in host:
         raise argparse.ArgumentTypeError(f"expected host:port, got {text!r}")
     try:
         port = int(port_text)

@@ -32,12 +32,13 @@ answers ``ERR <reason>``, as far as the connection still allows.
 from __future__ import annotations
 
 import json
-import socket
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, NamedTuple, TextIO
+import os
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, NamedTuple, TextIO
 
-from .statevec import ValidationError
+from .statevec import Record, ValidationError
+
+if TYPE_CHECKING:
+    import socket
 
 WIRE_VERSION = "v1"
 
@@ -67,16 +68,18 @@ class TransportError(RuntimeError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Message2:
+class Message2(Record):
     """Two classical bits (b1, b0)."""
 
+    __slots__ = ("b1", "b0")
     b1: int
     b0: int
 
-    def __post_init__(self):
-        if self.b1 not in (0, 1) or self.b0 not in (0, 1):
-            raise ValidationError(f"bits must be 0 or 1, got ({self.b1}, {self.b0})")
+    def __init__(self, b1: int, b0: int):
+        if b1 not in (0, 1) or b0 not in (0, 1):
+            raise ValidationError(f"bits must be 0 or 1, got ({b1}, {b0})")
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "b0", b0)
 
     @property
     def bits(self) -> tuple[int, int]:
@@ -92,12 +95,20 @@ class Message2:
         return f"{self.b1}{self.b0}"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(Record):
+    """One step of a protocol run: who did what, with its JSON payload."""
+
+    __slots__ = ("step", "actor", "action", "payload")
     step: int
     actor: str
     action: str
     payload: dict[str, Any]
+
+    def __init__(self, step: int, actor: str, action: str, payload: dict[str, Any]):
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "actor", actor)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "payload", payload)
 
     def to_json_line(self) -> str:
         record = {
@@ -109,21 +120,24 @@ class TraceEvent:
         return json.dumps(record, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class ProtocolTrace:
+class ProtocolTrace(Record):
     """Ordered event log of one protocol run, replayable from its seed."""
 
+    __slots__ = ("protocol", "seed", "events")
     protocol: str
     seed: int | None
-    events: tuple[TraceEvent, ...] = field(default_factory=tuple)
+    events: tuple[TraceEvent, ...]
 
-    def __post_init__(self):
-        for i, event in enumerate(self.events, start=1):
+    def __init__(self, protocol: str, seed: int | None, events: tuple[TraceEvent, ...] = ()):
+        for i, event in enumerate(events, start=1):
             if event.step != i:
                 raise ValidationError(
-                    f"trace steps must run 1..{len(self.events)}; "
+                    f"trace steps must run 1..{len(events)}; "
                     f"event {i} carries step {event.step}"
                 )
+        object.__setattr__(self, "protocol", protocol)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "events", events)
 
     @property
     def verdict(self) -> dict[str, Any]:
@@ -143,11 +157,11 @@ class ProtocolTrace:
             yield event.to_json_line()
 
 
-def emit_trace(trace: ProtocolTrace, sink: "str | Path | TextIO") -> None:
+def emit_trace(trace: ProtocolTrace, sink: "str | os.PathLike | TextIO") -> None:
     """Write a finalized trace as JSON lines: one header, one line per event."""
     trace.verdict  # rejects unfinalized traces
     text = "".join(line + "\n" for line in trace.lines())
-    if isinstance(sink, (str, Path)):
+    if isinstance(sink, (str, os.PathLike)):
         try:
             with open(sink, "w", encoding="ascii") as fh:
                 fh.write(text)
@@ -299,6 +313,8 @@ def _bob_session(wire, protocol, input_qubit, message) -> str:
 
 def _converse(sock: socket.socket, timeout: float, session: Callable[..., str], *args) -> str:
     """Run one side's session over a connected socket, then close it."""
+    import socket  # see run_wire_demo
+
     with sock:
         sock.settimeout(timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see module doc
@@ -335,6 +351,9 @@ def run_wire_demo(
         raise ValidationError("teleport demo needs an input qubit")
     if protocol == "superdense" and message is None:
         raise ValidationError("superdense demo needs a message")
+    # Imported here, not with the module: socket (and selectors, which it
+    # loads) costs every CLI process about 5 ms, and only wire uses it.
+    import socket
 
     if role == "alice":
         try:
@@ -347,7 +366,8 @@ def run_wire_demo(
         )
     else:
         try:
-            listener = socket.create_server((host, port))
+            family = socket.AF_INET6 if ":" in host else socket.AF_INET  # an IPv6 literal
+            listener = socket.create_server((host, port), family=family)
         except OSError as exc:
             raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
         with listener:

@@ -16,35 +16,37 @@ same state however long their chains are).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .phasespace import BELL_ORDER, BellState, Sector, pair_determinant
 from .statevec import (
     ATOL,
     DimensionError,
+    Record,
     StateVector,
     ValidationError,
     equal_up_to_global_phase,
 )
 
 
-@dataclass(frozen=True)
-class IclDiagram:
+class IclDiagram(Record):
     """A chain of ``chain_length`` inverters with a phase flag.
 
     The sector is the chain's parity (even chain = even sector), worked
     out on demand rather than stored.
     """
 
+    __slots__ = ("chain_length", "phase")
     chain_length: int
     phase: int
 
-    def __post_init__(self):
-        if self.chain_length < 0:
-            raise ValidationError(f"chain_length must be >= 0, got {self.chain_length}")
-        if self.phase not in (+1, -1):
-            raise ValidationError(f"phase must be +1 or -1, got {self.phase}")
+    def __init__(self, chain_length: int, phase: int):
+        if chain_length < 0:
+            raise ValidationError(f"chain_length must be >= 0, got {chain_length}")
+        if phase not in (+1, -1):
+            raise ValidationError(f"phase must be +1 or -1, got {phase}")
+        object.__setattr__(self, "chain_length", chain_length)
+        object.__setattr__(self, "phase", phase)
 
     @property
     def sector(self) -> Sector:
@@ -61,13 +63,18 @@ class IclKind(Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class IclClass:
+class IclClass(Record):
     """Classification of a two-qubit state under the inverter-chain model."""
 
+    __slots__ = ("kind", "bell", "sector")
     kind: IclKind
-    bell: BellState | None = None
-    sector: Sector | None = None
+    bell: BellState | None
+    sector: Sector | None
+
+    def __init__(self, kind: IclKind, bell: BellState | None = None, sector: Sector | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "bell", bell)
+        object.__setattr__(self, "sector", sector)
 
     def to_json(self) -> dict:
         out: dict = {"class": self.kind.value}

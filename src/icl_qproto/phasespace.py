@@ -18,7 +18,6 @@ pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .statevec import (
@@ -30,6 +29,7 @@ from .statevec import (
     DimensionError,
     Matrix,
     ProjectiveBasis,
+    Record,
     StateVector,
     ValidationError,
     basis_state,
@@ -208,13 +208,18 @@ def h_states() -> tuple[HState, ...]:
     return members
 
 
-@dataclass(frozen=True)
-class SuperpositionIdentity:
+class SuperpositionIdentity(Record):
     """One checked identity: (a +/- b)/sqrt(2) equals a basis state."""
 
+    __slots__ = ("label", "expected", "deviation")
     label: str
     expected: StateVector
     deviation: float
+
+    def __init__(self, label: str, expected: StateVector, deviation: float):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "deviation", deviation)
 
     @property
     def holds(self) -> bool:

@@ -24,8 +24,6 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import Any, Sequence
 
@@ -53,6 +51,46 @@ def _dot(xs, ys) -> complex:
 def max_deviation(xs: Sequence[complex], ys: Sequence[complex]) -> float:
     """The largest ``|x - y|`` over two equally long sequences."""
     return max(abs(x - y) for x, y in zip(xs, ys))
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in ``__slots__``, in constructor order,
+    and sets each one once in ``__init__`` through ``object.__setattr__``;
+    after that, assigning or deleting a field raises ``AttributeError``.
+    Records of one class are equal, and hash alike, when their fields
+    are, and print as ``Name(field=value, ...)``. Plain slotted classes
+    keep the command line from loading ``dataclasses`` (and ``inspect``)
+    and from generating their methods on every start.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle restore the slots past __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class Matrix(tuple):
@@ -176,24 +214,28 @@ class RandomSource:
         return f"RandomSource(seed={self.seed})"
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Record):
     """Normalized pure state of 1-3 qubits.
 
     ``amps[i]`` is the amplitude of basis state ``i`` with qubit 1 as
     the most significant bit, a Python complex. The vector is validated
-    (finite, correct length, unit norm) on construction.
+    (finite, correct length, unit norm) on construction. Two states are
+    equal only if they are the same object; ``isclose`` compares values.
     """
 
+    __slots__ = ("qubit_count", "amps")
     qubit_count: int
     amps: tuple[complex, ...]
 
-    def __post_init__(self):
-        n = self.qubit_count
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, qubit_count: int, amps: Sequence[complex]):
+        n = qubit_count
         if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
             raise DimensionError(f"qubit_count must be 1..{MAX_QUBITS}, got {n}")
         object.__setattr__(self, "qubit_count", int(n))
-        amps = tuple(map(complex, self.amps))
+        amps = tuple(map(complex, amps))
         if len(amps) != 2**n:
             raise DimensionError(f"{n}-qubit state needs {2**n} amplitudes, got {len(amps)}")
         sumsq = 0.0
@@ -299,20 +341,31 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector, atol: float = ATOL)
     return abs(abs(overlap(a, b)) - 1.0) <= atol
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectiveBasis:
+class ProjectiveBasis(Record):
     """Mutually orthogonal projectors that sum to the identity.
 
     ``ProjectiveBasis(projectors)`` takes any sequence of equal square
     matrices. They are checked once, here, and held as a tuple of
     ``Matrix``, so a basis built once can be measured against any number
     of times without re-checking it. Iterating it yields the projectors.
+    Two bases are equal only if they are the same object.
     """
 
+    __slots__ = ("projectors", "_terms")
     projectors: tuple[Matrix, ...]
+    # per projector, its nonzero entries (i, j, p) in row-major order
+    _terms: tuple[tuple[tuple[int, int, complex], ...], ...]
 
-    def __post_init__(self):
-        projectors = tuple(map(Matrix, self.projectors))
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, projectors: Sequence):
+        projectors = tuple(map(Matrix, projectors))
+        self._check(projectors)
+        self._hold(projectors)
+
+    @staticmethod
+    def _check(projectors: tuple[Matrix, ...]) -> None:
         if not projectors or len({len(p) for p in projectors}) != 1:
             raise DimensionError("projectors must be square matrices of one size")
         for i, rows in enumerate(zip(*projectors)):
@@ -324,15 +377,13 @@ class ProjectiveBasis:
                 expected = pa if a == b else [zero_row] * len(zero_row)
                 if not max(map(max_deviation, pa @ pb, expected)) <= ATOL:
                     raise ValidationError("projectors are not mutually orthogonal idempotents")
-        object.__setattr__(self, "projectors", projectors)
 
-    @cached_property
-    def _terms(self) -> tuple[tuple[tuple[int, int, complex], ...], ...]:
-        """Per projector, its nonzero entries (i, j, p) in row-major order."""
-        return tuple(
+    def _hold(self, projectors: tuple[Matrix, ...]) -> None:
+        object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "_terms", tuple(
             tuple((i, j, x) for i, row in enumerate(p) for j, x in enumerate(row) if x)
-            for p in self.projectors
-        )
+            for p in projectors
+        ))
 
     def tensor_identity(self) -> "ProjectiveBasis":
         """Each projector (x) the 2x2 identity: this basis, with one more low-order qubit.
@@ -341,11 +392,14 @@ class ProjectiveBasis:
         exact, so the result is not checked again.
         """
         basis = object.__new__(ProjectiveBasis)
-        object.__setattr__(basis, "projectors", tuple(  # Kronecker products, entry by entry
+        basis._hold(tuple(  # Kronecker products, entry by entry
             tuple.__new__(Matrix, (tuple(x * y for x in row for y in one) for row in p for one in IDENTITY2))
             for p in self.projectors
         ))
         return basis
+
+    def __repr__(self) -> str:
+        return f"ProjectiveBasis(projectors={self.projectors!r})"
 
     def __iter__(self):
         return iter(self.projectors)

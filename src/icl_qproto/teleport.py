@@ -20,7 +20,6 @@ carry observably).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .harness import Message2, ProtocolTrace, TraceEvent
 from .phasespace import BELL_BASIS, BELL_ORDER, PAULI_TABLE, BellState
@@ -29,6 +28,7 @@ from .statevec import (
     DimensionError,
     Matrix,
     RandomSource,
+    Record,
     StateVector,
     ValidationError,
     _collapse,
@@ -46,35 +46,39 @@ from .statevec import (
 UA_BELL_BASIS = BELL_BASIS.tensor_identity()
 
 
-@dataclass(frozen=True)
-class InputQubit:
+class InputQubit(Record):
     """The qubit to teleport: alpha|0> + beta|1>, normalized."""
 
+    __slots__ = ("alpha", "beta")
     alpha: complex
     beta: complex
 
-    def __post_init__(self):
+    def __init__(self, alpha: complex, beta: complex):
         try:
-            object.__setattr__(self, "alpha", complex(self.alpha))
-            object.__setattr__(self, "beta", complex(self.beta))
+            alpha, beta = complex(alpha), complex(beta)
         except OverflowError as exc:  # an int past the float range
             raise ValidationError(f"input qubit amplitude out of range: {exc}") from None
         try:
-            sumsq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+            sumsq = abs(alpha) ** 2 + abs(beta) ** 2
         except OverflowError:  # |alpha| or |beta| past about 1.3e154
             sumsq = math.inf
         if not math.isfinite(sumsq) or abs(sumsq - 1.0) > ATOL:
             raise ValidationError(f"input qubit is not normalized: |a|^2+|b|^2 = {sumsq!r}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     def state(self) -> StateVector:
         return single_qubit(self.alpha, self.beta)
 
 
-@dataclass(frozen=True)
-class BellOutcome:
+class BellOutcome(Record):
     """A Bell-measurement result and its fixed two-bit encoding."""
 
+    __slots__ = ("tag",)
     tag: BellState
+
+    def __init__(self, tag: BellState):
+        object.__setattr__(self, "tag", tag)
 
     @property
     def bits(self) -> tuple[int, int]:
@@ -88,19 +92,31 @@ class BellOutcome:
         return Message2(*self.bits)
 
 
-@dataclass(frozen=True)
-class TeleportEntry:
+class TeleportEntry(Record):
+    """One branch: its Bell state, Bob's conditional state, his correction and the branch amplitude."""
+
+    __slots__ = ("bell", "conditional_bob", "correction", "coefficient")
     bell: BellState
     conditional_bob: StateVector
     correction: Matrix
-    coefficient: float = 0.5
+    coefficient: float
+
+    def __init__(self, bell: BellState, conditional_bob: StateVector, correction: Matrix,
+                 coefficient: float = 0.5):
+        object.__setattr__(self, "bell", bell)
+        object.__setattr__(self, "conditional_bob", conditional_bob)
+        object.__setattr__(self, "correction", correction)
+        object.__setattr__(self, "coefficient", coefficient)
 
 
-@dataclass(frozen=True)
-class TeleportDecomposition:
+class TeleportDecomposition(Record):
     """The four (branch, conditional Bob state, correction) triples."""
 
+    __slots__ = ("entries",)
     entries: tuple[TeleportEntry, TeleportEntry, TeleportEntry, TeleportEntry]
+
+    def __init__(self, entries: tuple[TeleportEntry, ...]):
+        object.__setattr__(self, "entries", entries)
 
     def __getitem__(self, tag: BellState) -> TeleportEntry:
         for entry in self.entries:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import icl, phasespace, superdense, teleport
@@ -19,6 +18,7 @@ from .statevec import (
     SIGMA_X,
     SIGMA_Z,
     Matrix,
+    Record,
     apply_1q,
     branch_probabilities,
     identity,
@@ -28,11 +28,18 @@ from .statevec import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    """One check: the worst deviation it measured and the bound it must stay within."""
+
+    __slots__ = ("name", "deviation", "bound")
     name: str
     deviation: float
     bound: float
+
+    def __init__(self, name: str, deviation: float, bound: float):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "deviation", deviation)
+        object.__setattr__(self, "bound", bound)
 
     @property
     def passed(self) -> bool:

@@ -151,9 +151,14 @@ class TestParse:
              "--protocol", "superdense", "--message", "01"]
         )
         assert cmd.endpoint == ("127.0.0.1", 9000)
-        with pytest.raises(UsageError):
-            parse(["wire", "--role", "bob", "--endpoint", "nocolon",
-                   "--protocol", "superdense", "--message", "01"])
+        for endpoint, host in (("[::1]:9000", "::1"), ("::1:9000", "::1"), ("[fe80::1%eth0]:9000", "fe80::1%eth0")):
+            cmd = parse(["wire", "--role", "bob", "--endpoint", endpoint,
+                         "--protocol", "superdense", "--message", "01"])
+            assert cmd.endpoint == (host, 9000), endpoint
+        for endpoint in ("nocolon", "[]:9000", "[::1:9000", "::1]:9000", "[[::1]]:9000"):
+            with pytest.raises(UsageError):
+                parse(["wire", "--role", "bob", "--endpoint", endpoint,
+                       "--protocol", "superdense", "--message", "01"])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.text(max_size=12), max_size=6) | _TELEPORT_ARGV)

@@ -101,7 +101,7 @@ class TestTrace:
             validate_trace(truncated)
 
 
-def _run_pair(protocol: str, seed: int, **kwargs):
+def _run_pair(protocol: str, seed: int, host: str = "127.0.0.1", **kwargs):
     """Run bob in a thread and alice in the caller; return both verdicts."""
     ready = threading.Event()
     ports: list[int] = []
@@ -112,7 +112,7 @@ def _run_pair(protocol: str, seed: int, **kwargs):
         try:
             run_wire_demo(
                 "bob",
-                "127.0.0.1",
+                host,
                 0,
                 protocol,
                 ready_callback=lambda p: (ports.append(p), ready.set()),
@@ -131,7 +131,7 @@ def _run_pair(protocol: str, seed: int, **kwargs):
         raise failures[0]
     status = run_wire_demo(
         "alice",
-        "127.0.0.1",
+        host,
         ports[0],
         protocol,
         seed=seed,
@@ -297,6 +297,15 @@ class TestWireDemo:
         assert status == 0
         assert verdicts["bob"] == "decoded=10"
         assert verdicts["alice"] == "decoded=10"
+
+    def test_ipv6_loopback_session(self):
+        try:
+            with socket.socket(socket.AF_INET6) as probe:
+                probe.bind(("::1", 0))
+        except OSError as exc:
+            pytest.skip(f"this host cannot bind ::1: {exc}")
+        status, verdicts = _run_pair("superdense", 3, host="::1", message=Message2(1, 0))
+        assert (status, verdicts) == (0, {"alice": "decoded=10", "bob": "decoded=10"})
 
     def test_max_seed_accepted(self):
         u = InputQubit(0.6, 0.8)

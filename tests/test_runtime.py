@@ -28,6 +28,9 @@ with tempfile.TemporaryDirectory() as tmp:
     ):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0, argv
+if sys.argv[1] == "names-loaded":
+    print(" ".join(name for name in sys.argv[2:] if name in sys.modules))
+    sys.exit()
 if sys.argv[1] == "blocked":
     import test_golden
     for stem in test_golden.CASES:
@@ -40,10 +43,11 @@ print("ok")
 """
 
 
-def _child(mode: str) -> subprocess.CompletedProcess:
+def _child(mode: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
     return subprocess.run(
-        [sys.executable, "-c", CHILD, mode], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *flags, "-c", CHILD, mode, *args],
+        capture_output=True, text=True, env=env, timeout=120,
     )
 
 
@@ -55,3 +59,10 @@ def test_every_subcommand_and_golden_file_without_numpy():
 def test_no_subcommand_imports_numpy():
     child = _child("normal")
     assert (child.returncode, child.stdout) == (0, "ok\n"), child.stderr
+
+
+def test_no_subcommand_loads_dataclasses_socket_or_pathlib():
+    # -S: no site module, so no .pth file imports anything on the package's behalf;
+    # socket and selectors are for wire alone, and nothing needs the others
+    child = _child("names-loaded", "dataclasses", "inspect", "socket", "selectors", "pathlib", flags=("-S",))
+    assert (child.returncode, child.stdout) == (0, "\n"), child.stderr

@@ -361,13 +361,13 @@ class TestMeasureProjective:
 def basis_checks(monkeypatch):
     """Count how many times a ``ProjectiveBasis`` is built (and so checked)."""
     built = [0]
-    check = ProjectiveBasis.__post_init__
+    check = ProjectiveBasis._check
 
-    def counting(self):
+    def counting(projectors):
         built[0] += 1
-        check(self)
+        check(projectors)
 
-    monkeypatch.setattr(ProjectiveBasis, "__post_init__", counting)
+    monkeypatch.setattr(ProjectiveBasis, "_check", staticmethod(counting))
     return built
 
 
