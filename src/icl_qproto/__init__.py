@@ -25,11 +25,8 @@ from .phasespace import (
     HState,
     Sector,
     bell_projectors,
-    bell_superpositions,
     contract_bell,
     dft4,
-    h_state_superpositions,
-    h_states,
     pair_determinant,
 )
 from .statevec import (

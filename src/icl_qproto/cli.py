@@ -215,7 +215,7 @@ def _cmd_teleport(ns: argparse.Namespace) -> int:
     force = BellState.from_tag(ns.force_outcome) if ns.force_outcome else None
     trace = teleport.run_teleportation(u, ns.seed, force_outcome=force)
     harness.validate_trace(trace)
-    if ns.trace:
+    if ns.trace is not None:
         emit_trace(trace, ns.trace)
     measurement = trace.events[2].payload
     summary = {
@@ -237,7 +237,7 @@ def _cmd_teleport(ns: argparse.Namespace) -> int:
 def _cmd_superdense(ns: argparse.Namespace) -> int:
     trace = superdense.run_superdense(ns.message)
     harness.validate_trace(trace)
-    if ns.trace:
+    if ns.trace is not None:
         emit_trace(trace, ns.trace)
     encoded = trace.events[1].payload
     summary = {

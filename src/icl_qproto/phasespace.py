@@ -17,11 +17,9 @@ pair.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 from .statevec import (
-    ATOL,
     HADAMARD,
     IDENTITY2,
     SIGMA_X,
@@ -29,11 +27,8 @@ from .statevec import (
     DimensionError,
     Matrix,
     ProjectiveBasis,
-    Record,
     StateVector,
     ValidationError,
-    basis_state,
-    max_deviation,
 )
 
 # exp(i * pi/2 * m) / 2 for m = 0..3, exact in doubles
@@ -197,69 +192,3 @@ def pair_determinant(state: StateVector) -> complex:
         raise DimensionError("pair determinant is defined for two-qubit states")
     a = state.amps
     return complex(a[0] * a[3] - a[1] * a[2])
-
-
-def h_states() -> tuple[HState, ...]:
-    """All six H states, each re-checked to be a product state."""
-    members = tuple(HState)
-    for member in members:
-        if abs(pair_determinant(member.vector())) > ATOL:
-            raise ValidationError(f"{member} is unexpectedly entangled")
-    return members
-
-
-class SuperpositionIdentity(Record):
-    """One checked identity: (a +/- b)/sqrt(2) equals a basis state."""
-
-    __slots__ = ("label", "expected", "deviation")
-    label: str
-    expected: StateVector
-    deviation: float
-
-    def __init__(self, label: str, expected: StateVector, deviation: float):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "deviation", deviation)
-
-    @property
-    def holds(self) -> bool:
-        return self.deviation <= ATOL
-
-
-def _identity(label: str, a: StateVector, b: StateVector, sign: int, index: int) -> SuperpositionIdentity:
-    combo = StateVector(2, [(x + sign * y) / math.sqrt(2) for x, y in zip(a.amps, b.amps)])
-    expected = basis_state(2, index)
-    deviation = max_deviation(combo.amps, expected.amps)
-    return SuperpositionIdentity(label, expected, deviation)
-
-
-def _checked(entries: tuple[SuperpositionIdentity, ...]) -> tuple[SuperpositionIdentity, ...]:
-    for entry in entries:
-        if not entry.holds:
-            raise ValidationError(f"identity failed: {entry.label}")
-    return entries
-
-
-def bell_superpositions() -> tuple[SuperpositionIdentity, ...]:
-    """The four inverse-Hadamard identities taking Bell pairs back to site states."""
-    phi_p, phi_m = BellState.PHI_PLUS.vector(), BellState.PHI_MINUS.vector()
-    psi_p, psi_m = BellState.PSI_PLUS.vector(), BellState.PSI_MINUS.vector()
-    return _checked((
-        _identity("(phi+ + phi-)/sqrt2 = |00>", phi_p, phi_m, +1, 0),
-        _identity("(phi+ - phi-)/sqrt2 = |11>", phi_p, phi_m, -1, 3),
-        _identity("(psi+ + psi-)/sqrt2 = |01>", psi_p, psi_m, +1, 1),
-        _identity("(psi+ - psi-)/sqrt2 = |10>", psi_p, psi_m, -1, 2),
-    ))
-
-
-def h_state_superpositions() -> tuple[SuperpositionIdentity, ...]:
-    """The six matching identities for the unentangled H pairs."""
-    v = {m: m.vector() for m in HState}
-    return _checked((
-        _identity("(h0 + h1)/sqrt2 = |00>", v[HState.H0], v[HState.H1], +1, 0),
-        _identity("(h0 - h1)/sqrt2 = |10>", v[HState.H0], v[HState.H1], -1, 2),
-        _identity("(h2 + h3)/sqrt2 = |00>", v[HState.H2], v[HState.H3], +1, 0),
-        _identity("(h2 - h3)/sqrt2 = |01>", v[HState.H2], v[HState.H3], -1, 1),
-        _identity("(h4 + h5)/sqrt2 = |10>", v[HState.H4], v[HState.H5], +1, 2),
-        _identity("(h4 - h5)/sqrt2 = |11>", v[HState.H4], v[HState.H5], -1, 3),
-    ))

@@ -263,6 +263,8 @@ class StateVector(Record):
             n = obj["n"]
             pairs = obj["amps"]
             amps = [complex(re, im) for re, im in pairs]
+            if any(isinstance(x, bool) for pair in pairs for x in pair):  # complex(True) is 1+0j
+                raise ValueError("amplitude components must be numbers, not booleans")
         except (TypeError, KeyError, ValueError, OverflowError) as exc:  # an int past the float range
             raise ValidationError(f"malformed state-vector JSON: {exc}") from exc
         return cls(n, amps)
@@ -274,9 +276,9 @@ class StateVector(Record):
     def probabilities(self) -> tuple[float, ...]:
         return tuple(abs(z) ** 2 for z in self.amps)
 
-    def isclose(self, other: "StateVector", atol: float = ATOL) -> bool:
-        """Amplitude-wise equality within ``atol`` (phase-sensitive)."""
-        return self.qubit_count == other.qubit_count and max_deviation(self.amps, other.amps) <= atol
+    def isclose(self, other: "StateVector") -> bool:
+        """Amplitude-wise equality within ``ATOL`` (phase-sensitive)."""
+        return self.qubit_count == other.qubit_count and max_deviation(self.amps, other.amps) <= ATOL
 
     def __repr__(self) -> str:
         rounded = [complex(round(z.real, 6), round(z.imag, 6)) for z in self.amps]
@@ -336,9 +338,9 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     return _dot([z.conjugate() for z in a.amps], b.amps)
 
 
-def equal_up_to_global_phase(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
-    """True iff |<a|b>| = 1 within ``atol``."""
-    return abs(abs(overlap(a, b)) - 1.0) <= atol
+def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
+    """True iff |<a|b>| = 1 within ``ATOL``."""
+    return abs(abs(overlap(a, b)) - 1.0) <= ATOL
 
 
 class ProjectiveBasis(Record):

@@ -13,13 +13,14 @@ from typing import Iterator
 
 from . import icl, phasespace, superdense, teleport
 from .harness import Message2
-from .phasespace import BELL_ORDER, BellState
+from .phasespace import BELL_ORDER, BellState, HState
 from .statevec import (
     SIGMA_X,
     SIGMA_Z,
     Matrix,
     Record,
     apply_1q,
+    basis_state,
     branch_probabilities,
     identity,
     max_deviation,
@@ -64,6 +65,16 @@ def _matrix_deviation(a: Matrix, b: Matrix) -> float:
     return max(map(max_deviation, a, b))
 
 
+# (a, b, i, j): (a + b)/sqrt(2) = |i> and (a - b)/sqrt(2) = |j>
+_SUPERPOSITIONS = (
+    (BellState.PHI_PLUS, BellState.PHI_MINUS, 0, 3),
+    (BellState.PSI_PLUS, BellState.PSI_MINUS, 1, 2),
+    (HState.H0, HState.H1, 0, 2),
+    (HState.H2, HState.H3, 0, 1),
+    (HState.H4, HState.H5, 2, 3),
+)
+
+
 def _check_phase_space() -> Iterator[CheckResult]:
     m = phasespace.dft4()
     eye = identity(4)
@@ -82,11 +93,16 @@ def _check_phase_space() -> Iterator[CheckResult]:
     gram = Matrix([[overlap(a.vector(), b.vector()) for b in BELL_ORDER] for a in BELL_ORDER])
     yield CheckResult("bell-orthonormality", _matrix_deviation(gram, eye), 1e-12)
     yield CheckResult("transform-round-trip", _matrix_deviation(m.dagger() @ m, eye), 1e-12)
-    identities = phasespace.bell_superpositions() + phasespace.h_state_superpositions()
-    yield CheckResult("superposition-identities", max(entry.deviation for entry in identities), 1e-12)
     dev = max(
-        abs(phasespace.pair_determinant(member.vector())) for member in phasespace.h_states()
+        max_deviation(
+            [(x + sign * y) / math.sqrt(2) for x, y in zip(a.vector().amps, b.vector().amps)],
+            basis_state(2, index).amps,
+        )
+        for a, b, *indexes in _SUPERPOSITIONS
+        for sign, index in zip((+1, -1), indexes)
     )
+    yield CheckResult("superposition-identities", dev, 1e-12)
+    dev = max(abs(phasespace.pair_determinant(member.vector())) for member in HState)
     yield CheckResult("h-state-separability", dev, 1e-12)
 
 
@@ -119,7 +135,7 @@ def _check_icl() -> Iterator[CheckResult]:
     yield CheckResult("pauli-commutation", dev, 1e-12)
 
     wrong = 0.0
-    for member in phasespace.h_states():
+    for member in HState:
         if icl.classify(member.vector()).kind is not icl.IclKind.PRODUCT:
             wrong += 1
     for tag in BELL_ORDER:

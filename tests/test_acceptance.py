@@ -16,10 +16,8 @@ from icl_qproto.phasespace import (
     BellState,
     HState,
     Sector,
-    bell_superpositions,
     contract_bell,
     dft4,
-    h_state_superpositions,
 )
 from icl_qproto.statevec import (
     SIGMA_X,
@@ -32,6 +30,7 @@ from icl_qproto.statevec import (
 )
 from icl_qproto.superdense import decode, encode
 from icl_qproto.teleport import UA_BELL_BASIS, InputQubit, run_teleportation
+from icl_qproto.verify import _SUPERPOSITIONS, verify
 from oracles import BELL, classify_oracle, random_state
 
 
@@ -77,9 +76,9 @@ def test_03_pauli_transitions():
 
 
 def test_04_superposition_identities():
-    entries = bell_superpositions() + h_state_superpositions()
-    dev = max(entry.deviation for entry in entries)
-    passed = len(entries) == 10 and dev < 1e-12
+    identities = 2 * len(_SUPERPOSITIONS)
+    dev = {r.name: r for r in verify("phase-space")}["superposition-identities"].deviation
+    passed = identities == 10 and dev < 1e-12
     _report(4, "superposition-identities", passed, f"10 identities, max dev {dev:.3e}")
 
 

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icl_qproto import harness
+from icl_qproto import harness, phasespace
 from icl_qproto.cli import UsageError, main, parse, verify
 from icl_qproto.harness import Message2
+from icl_qproto.phasespace import HState
 
 
 # every float as a component: huge, subnormal, nan, inf
@@ -231,6 +232,14 @@ class TestMainExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["teleport", "--alpha", "0.6,0", "--beta", "0,0.8"],
+        ["superdense", "--message", "00"],
+    ])
+    def test_empty_trace_path_is_three(self, argv, capsys):
+        assert main([*argv, "--trace", ""]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot write trace")
+
     def test_transport_error_is_three(self, capsys):
         code = main(
             ["wire", "--role", "alice", "--endpoint", "127.0.0.1:1",
@@ -331,6 +340,13 @@ class TestSubcommands:
         assert main(["icl", "--state", state]) == 2
         assert "two-qubit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair", [[True, 0], [1, False]])
+    def test_icl_rejects_boolean_amplitudes(self, pair, capsys):
+        state = json.dumps({"n": 2, "amps": [pair, [0, 0], [0, 0], [0, 0]]})
+        assert main(["icl", "--state", state]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --state:") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_each_suite_passes(self):
@@ -355,3 +371,15 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert all(entry["passed"] for entry in report)
         assert all(entry["deviation"] <= entry["bound"] for entry in report)
+
+    def test_failed_identity_is_reported_not_raised(self, monkeypatch, capsys):
+        names = [r.name for r in verify("phase-space")]
+        monkeypatch.setitem(phasespace._CANONICAL_H, HState.H1, HState.H0.vector())
+        assert main(["verify", "phase-space"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == names
+        assert "superposition-identities: FAIL" in lines[names.index("superposition-identities")]
+        assert main(["verify", "phase-space", "--json"]) == 1
+        report = {entry["name"]: entry for entry in json.loads(capsys.readouterr().out)}
+        assert report["superposition-identities"]["passed"] is False
+        assert [name for name, entry in report.items() if not entry["passed"]] == ["superposition-identities"]

@@ -8,14 +8,11 @@ from icl_qproto.phasespace import (
     HState,
     Sector,
     bell_projectors,
-    bell_superpositions,
     contract_bell,
     dft4,
-    h_state_superpositions,
-    h_states,
     pair_determinant,
 )
-from icl_qproto.statevec import basis_state
+from icl_qproto.verify import _SUPERPOSITIONS
 from oracles import BELL, DFT4, H_VECTORS
 
 
@@ -71,7 +68,7 @@ class TestContractBell:
 
 class TestHStates:
     def test_vectors_match_reference(self):
-        for member in h_states():
+        for member in HState:
             np.testing.assert_allclose(
                 member.vector().amps, H_VECTORS[member.value], atol=1e-15
             )
@@ -83,31 +80,38 @@ class TestHStates:
         np.testing.assert_allclose(HState.H5.vector().amps, [0, 0, 1 / s, -1 / s], atol=1e-15)
 
     def test_all_product_states(self):
-        for member in h_states():
+        for member in HState:
             assert abs(pair_determinant(member.vector())) < 1e-12
+
+
+def _combos(rows):
+    """Each table row's (a + b)/sqrt2 and (a - b)/sqrt2, in numpy, with its basis index."""
+    for a, b, plus, minus in rows:
+        a, b = np.asarray(a.vector().amps), np.asarray(b.vector().amps)
+        yield (a + b) / np.sqrt(2.0), plus
+        yield (a - b) / np.sqrt(2.0), minus
 
 
 class TestSuperpositions:
     def test_bell_identities(self):
-        entries = bell_superpositions()
-        assert len(entries) == 4
-        expected = {0: "phi", 3: "phi", 1: "psi", 2: "psi"}
-        for entry in entries:
-            assert entry.holds
-            assert entry.deviation < 1e-12
+        rows = [row for row in _SUPERPOSITIONS if isinstance(row[0], BellState)]
+        assert len(rows) == 2
+        for combo, index in _combos(rows):
+            np.testing.assert_allclose(combo, np.eye(4)[index], atol=1e-12)
 
     def test_bell_identity_targets(self):
-        by_label = {e.label: e for e in bell_superpositions()}
-        assert by_label["(phi+ + phi-)/sqrt2 = |00>"].expected.isclose(basis_state(2, 0))
-        assert by_label["(phi+ - phi-)/sqrt2 = |11>"].expected.isclose(basis_state(2, 3))
-        assert by_label["(psi+ - psi-)/sqrt2 = |10>"].expected.isclose(basis_state(2, 2))
+        rows = {(a, b): (plus, minus) for a, b, plus, minus in _SUPERPOSITIONS}
+        assert rows[BellState.PHI_PLUS, BellState.PHI_MINUS] == (0, 3)
+        assert rows[BellState.PSI_PLUS, BellState.PSI_MINUS] == (1, 2)
 
     def test_h_identities(self):
-        entries = h_state_superpositions()
-        assert len(entries) == 6
-        for entry in entries:
-            assert entry.holds
-            assert entry.deviation < 1e-12
+        rows = [row for row in _SUPERPOSITIONS if isinstance(row[0], HState)]
+        assert [(a, b) for a, b, _, _ in rows] == [
+            (HState.H0, HState.H1), (HState.H2, HState.H3), (HState.H4, HState.H5)
+        ]
+        assert [(plus, minus) for _, _, plus, minus in rows] == [(0, 2), (0, 1), (2, 3)]
+        for combo, index in _combos(rows):
+            np.testing.assert_allclose(combo, np.eye(4)[index], atol=1e-12)
 
     def test_all_ten_by_hand(self):
         s = np.sqrt(2.0)

@@ -13,24 +13,19 @@ import pytest
 
 from icl_qproto.harness import Message2, ProtocolTrace, TraceEvent
 from icl_qproto.icl import IclClass, IclDiagram, IclKind
-from icl_qproto.phasespace import PAULI_TABLE, BellState, Sector, SuperpositionIdentity
+from icl_qproto.phasespace import PAULI_TABLE, BellState, Sector
 from icl_qproto.statevec import SIGMA_X, ProjectiveBasis, StateVector, basis_state, computational_projectors
 from icl_qproto.teleport import BellOutcome, InputQubit, TeleportDecomposition, TeleportEntry, decompose
 from icl_qproto.verify import CheckResult
 
 # shared by the factories below: a StateVector equals only itself
 KET_1 = basis_state(1, 1)
-KET_00 = basis_state(2, 0)
 ENTRIES = decompose(InputQubit(1, 0)).entries
 
 # name -> (a factory that gives equal records on every call, the fields, the defaults it relies on)
 RECORDS = {
     "StateVector": (lambda: StateVector(1, (0.6, 0.8j)), ("qubit_count", "amps"), {}),
     "ProjectiveBasis": (lambda: ProjectiveBasis(computational_projectors(1)), ("projectors",), {}),
-    "SuperpositionIdentity": (
-        lambda: SuperpositionIdentity("(a + b)/sqrt2 = |00>", KET_00, 0.0),
-        ("label", "expected", "deviation"), {},
-    ),
     "IclDiagram": (lambda: IclDiagram(3, -1), ("chain_length", "phase"), {}),
     "IclClass": (lambda: IclClass(IclKind.PRODUCT), ("kind", "bell", "sector"), {"bell": None, "sector": None}),
     "InputQubit": (lambda: InputQubit(0.6, 0.8j), ("alpha", "beta"), {}),
