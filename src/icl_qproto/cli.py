@@ -14,21 +14,19 @@ import math
 import os
 import re
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from . import harness, icl, superdense, teleport
-from .harness import (
-    MAX_SEED,
-    SEED_ENV_VAR,
-    HandshakeError,
-    Message2,
-    TraceWriteError,
-    TransportError,
-    emit_trace,
-)
+# Only what parse() needs is imported here; each command imports the modules
+# it runs, so a process compiles no module its subcommand does not use.
 from .phasespace import BELL_ORDER, BellState, HState
-from .statevec import StateVector, ValidationError
-from .verify import SUITES, verify
+from .statevec import MAX_SEED, HandshakeError, StateVector, TransportError, ValidationError
+from .verify import SUITES
+
+if TYPE_CHECKING:
+    from .harness import Message2
+
+SEED_ENV_VAR = "ICL_QPROTO_SEED"
+
 
 class UsageError(Exception):
     """Command line could not be parsed into a valid command."""
@@ -153,6 +151,8 @@ def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
 
 
 def _message_bits(text: str) -> Message2:
+    from .harness import Message2
+
     try:
         return Message2.from_string(text)
     except ValidationError as exc:
@@ -181,14 +181,15 @@ def parse(argv: Sequence[str]) -> argparse.Namespace:
     elif ns.command == "icl":
         try:
             raw = json.loads(ns.state)
-            ns.state = StateVector.from_json(raw)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the stack
             raise UsageError(f"--state is not valid JSON: {exc}") from None
+        n = raw.get("n") if isinstance(raw, dict) else None
+        if n != 2:  # true != 2 as well; StateVector itself rejects a boolean count
+            raise UsageError(f'--state must be a two-qubit state ("n": 2), got n={n!r}')
+        try:
+            ns.state = StateVector.from_json(raw)
         except (ValidationError, ValueError) as exc:
             raise UsageError(f"--state: {exc}") from None
-        n = raw["n"]
-        if isinstance(n, bool) or n != 2:
-            raise UsageError(f'--state must be a two-qubit state ("n": 2), got n={n!r}')
     elif ns.command == "wire":
         if ns.protocol == "teleport":
             if ns.alpha is None or ns.beta is None:
@@ -211,10 +212,13 @@ def _print_json(obj: Any) -> None:
 
 
 def _cmd_teleport(ns: argparse.Namespace) -> int:
-    u = teleport.InputQubit(ns.alpha, ns.beta)
+    from .harness import emit_trace, validate_trace
+    from .teleport import InputQubit, run_teleportation
+
+    u = InputQubit(ns.alpha, ns.beta)
     force = BellState.from_tag(ns.force_outcome) if ns.force_outcome else None
-    trace = teleport.run_teleportation(u, ns.seed, force_outcome=force)
-    harness.validate_trace(trace)
+    trace = run_teleportation(u, ns.seed, force_outcome=force)
+    validate_trace(trace)
     if ns.trace is not None:
         emit_trace(trace, ns.trace)
     measurement = trace.events[2].payload
@@ -235,8 +239,11 @@ def _cmd_teleport(ns: argparse.Namespace) -> int:
 
 
 def _cmd_superdense(ns: argparse.Namespace) -> int:
-    trace = superdense.run_superdense(ns.message)
-    harness.validate_trace(trace)
+    from .harness import emit_trace, validate_trace
+    from .superdense import run_superdense
+
+    trace = run_superdense(ns.message)
+    validate_trace(trace)
     if ns.trace is not None:
         emit_trace(trace, ns.trace)
     encoded = trace.events[1].payload
@@ -276,15 +283,19 @@ def _cmd_bell(ns: argparse.Namespace) -> int:
 
 
 def _cmd_icl(ns: argparse.Namespace) -> int:
-    result = icl.classify(ns.state)
+    from .icl import classify, state_to_diagram
+
+    result = classify(ns.state)
     out = result.to_json()
     if result.bell is not None:
-        out["diagram"] = icl.state_to_diagram(result.bell).to_json()
+        out["diagram"] = state_to_diagram(result.bell).to_json()
     _print_json(out)
     return 0
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    from .verify import verify
+
     results = verify(ns.suite)
     if ns.json:
         _print_json(
@@ -305,14 +316,17 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_wire(ns: argparse.Namespace) -> int:
+    from .harness import run_wire_demo
+    from .teleport import InputQubit
+
     host, port = ns.endpoint
     kwargs: dict[str, Any] = {"seed": ns.seed}
     if ns.protocol == "teleport":
-        kwargs["input_qubit"] = teleport.InputQubit(ns.alpha, ns.beta)
+        kwargs["input_qubit"] = InputQubit(ns.alpha, ns.beta)
     else:
         kwargs["message"] = ns.message
     verdicts: list[str] = []
-    status = harness.run_wire_demo(
+    status = run_wire_demo(
         ns.role,
         host,
         port,
@@ -345,7 +359,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return _RUNNERS[ns.command](ns)
-    except (TraceWriteError, TransportError, HandshakeError, OSError) as exc:
+    except (TransportError, HandshakeError, OSError) as exc:  # OSError covers TraceWriteError
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValidationError, ValueError) as exc:

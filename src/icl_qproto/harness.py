@@ -35,37 +35,18 @@ import json
 import os
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, NamedTuple, TextIO
 
-from .statevec import Record, ValidationError
+from .statevec import MAX_SEED, HandshakeError, Record, TransportError, ValidationError
 
 if TYPE_CHECKING:
     import socket
 
 WIRE_VERSION = "v1"
 
-MAX_SEED = 2**64 - 1
-
 MAX_LINE_LENGTH = 1024  # bytes, newline included; protocol lines are < 64
-
-SEED_ENV_VAR = "ICL_QPROTO_SEED"
 
 
 class TraceWriteError(OSError):
     """A trace sink could not be written."""
-
-
-class HandshakeError(RuntimeError):
-    """The wire peers disagree on protocol version or handshake shape."""
-
-
-class TransportError(RuntimeError):
-    """The wire connection failed or closed mid-protocol.
-
-    ``reason`` is the one-word code Bob sends back in his ``ERR`` line.
-    """
-
-    def __init__(self, message: str, reason: str = "transport-failure"):
-        super().__init__(message)
-        self.reason = reason
 
 
 class Message2(Record):
@@ -166,7 +147,7 @@ def emit_trace(trace: ProtocolTrace, sink: "str | os.PathLike | TextIO") -> None
             with open(sink, "w", encoding="ascii") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise TraceWriteError(f"cannot write trace to {sink}: {exc}") from exc
+            raise TraceWriteError(f"cannot write trace to {os.fspath(sink)!r}: {exc}") from exc
         return
     sink.write(text)
 

@@ -31,9 +31,28 @@ ATOL = 1e-9
 
 MAX_QUBITS = 3
 
+MAX_SEED = 2**64 - 1
+
 
 class ValidationError(ValueError):
     """A value violates one of its declared invariants."""
+
+
+# The wire's errors live here, beside ValidationError, so that the CLI can
+# catch them without loading the wire harness.
+class HandshakeError(RuntimeError):
+    """The wire peers disagree on protocol version or handshake shape."""
+
+
+class TransportError(RuntimeError):
+    """The wire connection failed or closed mid-protocol.
+
+    ``reason`` is the one-word code Bob sends back in his ``ERR`` line.
+    """
+
+    def __init__(self, message: str, reason: str = "transport-failure"):
+        super().__init__(message)
+        self.reason = reason
 
 
 class DimensionError(ValueError):
@@ -188,7 +207,7 @@ class RandomSource:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        if not 0 <= self.seed <= _MASK64:
+        if not 0 <= self.seed <= MAX_SEED:
             raise ValidationError(f"seed must be in 0..2**64-1, got {self.seed}")
         words = (self.seed & 0xFFFFFFFF, self.seed >> 32, 0, 0)
         pool = [_hashmix(w, _POOL_KEYS, t) for t, w in enumerate(words)]
@@ -232,7 +251,7 @@ class StateVector(Record):
 
     def __init__(self, qubit_count: int, amps: Sequence[complex]):
         n = qubit_count
-        if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
             raise DimensionError(f"qubit_count must be 1..{MAX_QUBITS}, got {n}")
         object.__setattr__(self, "qubit_count", int(n))
         amps = tuple(map(complex, amps))

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from . import icl, phasespace, superdense, teleport
-from .harness import Message2
+# Each suite imports the modules it checks, so importing this module for
+# SUITES (as the CLI parser does) loads only phasespace and statevec.
+from . import phasespace
 from .phasespace import BELL_ORDER, BellState, HState
 from .statevec import (
     SIGMA_X,
@@ -27,6 +28,9 @@ from .statevec import (
     overlap,
     tensor,
 )
+
+if TYPE_CHECKING:
+    from .teleport import InputQubit
 
 
 class CheckResult(Record):
@@ -51,13 +55,15 @@ class CheckResult(Record):
         return f"{self.name}: {status} (max dev {self.deviation:.3e}, bound {self.bound:.0e})"
 
 
-def _random_inputs(count: int, seed: int = 7) -> list[teleport.InputQubit]:
+def _random_inputs(count: int, seed: int = 7) -> list[InputQubit]:
+    from .teleport import InputQubit
+
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         a, b = (complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2))
         norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        out.append(teleport.InputQubit(a / norm, b / norm))
+        out.append(InputQubit(a / norm, b / norm))
     return out
 
 
@@ -107,6 +113,8 @@ def _check_phase_space() -> Iterator[CheckResult]:
 
 
 def _check_icl() -> Iterator[CheckResult]:
+    from . import icl
+
     diagram = icl.IclDiagram(2, +1)
     failures = 0.0
     for n in range(17):
@@ -146,6 +154,8 @@ def _check_icl() -> Iterator[CheckResult]:
 
 
 def _check_teleport() -> Iterator[CheckResult]:
+    from . import teleport
+
     inputs = _random_inputs(100)
     dev = 0.0
     for u in inputs:
@@ -179,6 +189,9 @@ def _check_teleport() -> Iterator[CheckResult]:
 
 
 def _check_superdense() -> Iterator[CheckResult]:
+    from . import superdense
+    from .harness import Message2
+
     messages = [Message2(b1, b0) for b1 in (0, 1) for b0 in (0, 1)]
     wrong = float(sum(superdense.decode(superdense.encode(m)) != m for m in messages))
     yield CheckResult("round-trip", wrong, 0.0)

@@ -13,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icl_qproto import harness, phasespace
-from icl_qproto.cli import UsageError, main, parse, verify
+from icl_qproto.cli import UsageError, main, parse
 from icl_qproto.harness import Message2
 from icl_qproto.phasespace import HState
+from icl_qproto.verify import verify
 
 
 # every float as a component: huge, subnormal, nan, inf
@@ -238,7 +239,8 @@ class TestMainExitCodes:
     ])
     def test_empty_trace_path_is_three(self, argv, capsys):
         assert main([*argv, "--trace", ""]) == 3
-        assert capsys.readouterr().err.startswith("error: cannot write trace")
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write trace to '': ") and err.count("\n") == 1, err
 
     def test_transport_error_is_three(self, capsys):
         code = main(
@@ -338,7 +340,9 @@ class TestSubcommands:
     def test_icl_rejects_non_two_qubit_state(self, n, capsys):
         state = json.dumps({"n": n, "amps": [[1, 0], [0, 0]]})
         assert main(["icl", "--state", state]) == 2
-        assert "two-qubit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "two-qubit" in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("pair", [[True, 0], [1, False]])
     def test_icl_rejects_boolean_amplitudes(self, pair, capsys):

@@ -1,13 +1,19 @@
-"""The package runs on the standard library alone; numpy is a test-only oracle.
+"""The package runs on the standard library alone, and each CLI process loads
+only the package modules its subcommand runs; numpy is a test-only oracle.
 
-Each test starts a fresh interpreter, so the modules it loads are the
-package's own, not the test suite's.
+The tests of what a process loads start a fresh interpreter, so the
+modules it loads are the package's own, not the test suite's.
 """
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import icl_qproto
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -43,10 +49,23 @@ print("ok")
 """
 
 
-def _child(mode: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+# one subcommand (or, with no argv, a bare "import icl_qproto"), then the package modules loaded
+MODULES_CHILD = """
+import contextlib, io, sys
+if sys.argv[1:]:
+    from icl_qproto.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0, sys.argv
+else:
+    import icl_qproto
+print(" ".join(sorted(name.split(".")[1] for name in sys.modules if name.startswith("icl_qproto."))))
+"""
+
+
+def _child(*args: str, flags: tuple[str, ...] = (), script: str = CHILD) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
     return subprocess.run(
-        [sys.executable, *flags, "-c", CHILD, mode, *args],
+        [sys.executable, *flags, "-c", script, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -66,3 +85,49 @@ def test_no_subcommand_loads_dataclasses_socket_or_pathlib():
     # socket and selectors are for wire alone, and nothing needs the others
     child = _child("names-loaded", "dataclasses", "inspect", "socket", "selectors", "pathlib", flags=("-S",))
     assert (child.returncode, child.stdout) == (0, "\n"), child.stderr
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], ""),
+    (["bell", "--list"], "cli phasespace statevec verify"),
+    (["icl", "--state", '{"n":2,"amps":[[1,0],[0,0],[0,0],[0,0]]}'], "cli icl phasespace statevec verify"),
+    (["superdense", "--message", "10"], "cli harness phasespace statevec superdense verify"),
+    (["teleport", "--alpha", "0.6,0", "--beta", "0.8,0"], "cli harness phasespace statevec teleport verify"),
+], ids=["import", "bell", "icl", "superdense", "teleport"])
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded):
+    # each module a process imports is compiled from source when no bytecode cache can be written
+    child = _child(*argv, flags=("-S",), script=MODULES_CHILD)
+    assert (child.returncode, child.stdout) == (0, loaded + "\n"), child.stderr
+
+
+def test_every_public_name_is_its_modules_object():
+    for module, names in icl_qproto._EXPORTS.items():
+        owner = importlib.import_module(f"icl_qproto.{module}")
+        for name in names:
+            assert getattr(icl_qproto, name) is getattr(owner, name), name
+    assert sorted(icl_qproto.__all__) == sorted(n for names in icl_qproto._EXPORTS.values() for n in names)
+    assert set(icl_qproto.__all__) <= set(dir(icl_qproto))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from icl_qproto import *", namespace)
+    for name in icl_qproto.__all__:
+        assert namespace[name] is getattr(icl_qproto, name), name
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="nonexistent"):
+        icl_qproto.nonexistent
+    assert not hasattr(icl_qproto, "nonexistent")
+    # a submodule resolves even before anything imported it, as when __init__ imported them all
+    assert icl_qproto.__getattr__("teleport") is importlib.import_module("icl_qproto.teleport")
+
+
+def test_moved_names_keep_every_import_path():
+    from icl_qproto import cli, harness, statevec
+
+    for name in ("MAX_SEED", "HandshakeError", "TransportError"):
+        assert getattr(cli, name) is getattr(harness, name) is getattr(statevec, name), name
+    assert icl_qproto.HandshakeError is statevec.HandshakeError
+    assert icl_qproto.TransportError is statevec.TransportError

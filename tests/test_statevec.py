@@ -82,6 +82,13 @@ class TestStateVector:
         with pytest.raises(DimensionError):
             StateVector(4, amps)
 
+    def test_rejects_a_boolean_qubit_count(self):
+        # isinstance(True, int) holds, and True == 1
+        with pytest.raises(DimensionError, match="qubit_count"):
+            StateVector(True, [1.0, 0.0])
+        with pytest.raises(DimensionError, match="qubit_count"):
+            StateVector.from_json({"n": True, "amps": [[1, 0], [0, 0]]})
+
     def test_amplitudes_are_immutable(self):
         state = basis_state(1, 0)
         with pytest.raises(TypeError):
