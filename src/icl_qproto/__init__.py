@@ -63,8 +63,6 @@ _EXPORTS = {
     "teleport": (
         "BellOutcome",
         "InputQubit",
-        "TeleportDecomposition",
-        "TeleportEntry",
         "UA_BELL_BASIS",
         "bell_measure",
         "correction_for",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, NamedTuple, TextIO
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, NamedTuple, TextIO
 
 from .statevec import MAX_SEED, HandshakeError, Record, TransportError, ValidationError
 
@@ -57,8 +57,8 @@ class Message2(Record):
     b0: int
 
     def __init__(self, b1: int, b0: int):
-        if b1 not in (0, 1) or b0 not in (0, 1):
-            raise ValidationError(f"bits must be 0 or 1, got ({b1}, {b0})")
+        if any(isinstance(b, bool) or not isinstance(b, int) or b not in (0, 1) for b in (b1, b0)):
+            raise ValidationError(f"bits must be the integers 0 or 1, got ({b1!r}, {b0!r})")
         object.__setattr__(self, "b1", b1)
         object.__setattr__(self, "b0", b0)
 
@@ -91,15 +91,6 @@ class TraceEvent(Record):
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "payload", payload)
 
-    def to_json_line(self) -> str:
-        record = {
-            "step": self.step,
-            "actor": self.actor,
-            "action": self.action,
-            "payload": self.payload,
-        }
-        return json.dumps(record, separators=(",", ":"))
-
 
 class ProtocolTrace(Record):
     """Ordered event log of one protocol run, replayable from its seed."""
@@ -127,21 +118,19 @@ class ProtocolTrace(Record):
             raise ValidationError("trace is not finalized: no verdict event")
         return self.events[-1].payload
 
-    def header_line(self) -> str:
-        return json.dumps(
-            {"protocol": self.protocol, "seed": self.seed}, separators=(",", ":")
-        )
 
-    def lines(self) -> Iterable[str]:
-        yield self.header_line()
-        for event in self.events:
-            yield event.to_json_line()
+# json.dumps(record, separators=(",", ":")) builds this encoder anew on every call
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def emit_trace(trace: ProtocolTrace, sink: "str | os.PathLike | TextIO") -> None:
     """Write a finalized trace as JSON lines: one header, one line per event."""
     trace.verdict  # rejects unfinalized traces
-    text = "".join(line + "\n" for line in trace.lines())
+    encode = _LINE_ENCODER.encode
+    lines = [encode({"protocol": trace.protocol, "seed": trace.seed})]
+    lines += [encode({"step": e.step, "actor": e.actor, "action": e.action, "payload": e.payload})
+              for e in trace.events]
+    text = "\n".join(lines) + "\n"
     if isinstance(sink, (str, os.PathLike)):
         try:
             with open(sink, "w", encoding="ascii") as fh:

@@ -41,10 +41,10 @@ class IclDiagram(Record):
     phase: int
 
     def __init__(self, chain_length: int, phase: int):
-        if chain_length < 0:
-            raise ValidationError(f"chain_length must be >= 0, got {chain_length}")
-        if phase not in (+1, -1):
-            raise ValidationError(f"phase must be +1 or -1, got {phase}")
+        if isinstance(chain_length, bool) or not isinstance(chain_length, int) or chain_length < 0:
+            raise ValidationError(f"chain_length must be an integer >= 0, got {chain_length!r}")
+        if isinstance(phase, bool) or not isinstance(phase, int) or phase not in (+1, -1):
+            raise ValidationError(f"phase must be the integer +1 or -1, got {phase!r}")
         object.__setattr__(self, "chain_length", chain_length)
         object.__setattr__(self, "phase", phase)
 

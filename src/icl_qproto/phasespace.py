@@ -134,9 +134,12 @@ def contract_bell(sector: Sector) -> tuple[BellState, BellState]:
     return tuple(tag for tag in BELL_ORDER if tag.sector is sector)  # type: ignore[return-value]
 
 
-BELL_BASIS = ProjectiveBasis(
-    [[[x * y.conjugate() for y in tag.vector().amps] for x in tag.vector().amps] for tag in BELL_ORDER]
-)
+# |B><B| for each Bell state: constant, so the basis check runs in
+# tests/test_phasespace.py (and verify checks the vectors' orthonormality),
+# not on every import.
+BELL_BASIS = ProjectiveBasis._unchecked(tuple(
+    Matrix([[x * y.conjugate() for y in tag.vector().amps] for x in tag.vector().amps]) for tag in BELL_ORDER
+))
 
 # The local Pauli on qubit 1 that turns phi+ into each Bell state. It is
 # superdense coding's encoder and teleportation's correction alike.
@@ -149,7 +152,7 @@ PAULI_TABLE = {
 
 
 def bell_projectors() -> ProjectiveBasis:
-    """Rank-1 projectors onto the Bell states, in ``BELL_ORDER``, checked once."""
+    """Rank-1 projectors onto the Bell states, in ``BELL_ORDER``."""
     return BELL_BASIS
 
 

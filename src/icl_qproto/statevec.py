@@ -193,6 +193,13 @@ def _hashmix(value: int, keys: tuple[int, ...], t: int) -> int:
     return value ^ value >> 16
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` unchanged if it is an int (not a bool) in 0..2**64-1, the range a run can replay from."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= MAX_SEED:
+        raise ValidationError(f"seed must be an integer in 0..2**64-1, got {seed!r}")
+    return seed
+
+
 class RandomSource:
     """Seeded uniform stream: numpy's ``Generator(PCG64(seed)).random()``, bit for bit.
 
@@ -206,9 +213,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValidationError(f"seed must be in 0..2**64-1, got {self.seed}")
+        self.seed = check_seed(seed)
         words = (self.seed & 0xFFFFFFFF, self.seed >> 32, 0, 0)
         pool = [_hashmix(w, _POOL_KEYS, t) for t, w in enumerate(words)]
         for src, dst, xor, mult in _CROSS_MIXES:
@@ -406,18 +411,23 @@ class ProjectiveBasis(Record):
             for p in projectors
         ))
 
+    @classmethod
+    def _unchecked(cls, projectors: tuple[Matrix, ...]) -> "ProjectiveBasis":
+        """A basis of projectors that are known to form one, held without the check."""
+        basis = object.__new__(cls)
+        basis._hold(projectors)
+        return basis
+
     def tensor_identity(self) -> "ProjectiveBasis":
         """Each projector (x) the 2x2 identity: this basis, with one more low-order qubit.
 
         P (x) I is a projector whenever P is, and a product by 1 or 0 is
         exact, so the result is not checked again.
         """
-        basis = object.__new__(ProjectiveBasis)
-        basis._hold(tuple(  # Kronecker products, entry by entry
+        return ProjectiveBasis._unchecked(tuple(  # Kronecker products, entry by entry
             tuple.__new__(Matrix, (tuple(x * y for x in row for y in one) for row in p for one in IDENTITY2))
             for p in self.projectors
         ))
-        return basis
 
     def __repr__(self) -> str:
         return f"ProjectiveBasis(projectors={self.projectors!r})"

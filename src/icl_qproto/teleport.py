@@ -2,8 +2,9 @@
 
 Alice holds the input qubit U and half A of the pair; Bob holds B. The
 joint state U (x) phi+ expands over the Bell basis of (U, A) with
-coefficient 1/2 on every branch, leaving Bob a fixed unitary image of
-the input on each branch:
+coefficient 1/2 on every branch, U (x) phi+ = 1/2 sum_k |B_k> (x)
+sigma_k^dagger U, where sigma_k is branch k's row of
+``phasespace.PAULI_TABLE`` (superdense coding's encoder too):
 
     branch   Bob's conditional state      correction Bob applies
     phi+     (alpha, beta)                identity
@@ -35,6 +36,7 @@ from .statevec import (
     _divided,
     _dot,
     branch_probabilities,
+    check_seed,
     measure_projective,
     overlap,
     single_qubit,
@@ -72,7 +74,7 @@ class InputQubit(Record):
 
 
 class BellOutcome(Record):
-    """A Bell-measurement result and its fixed two-bit encoding."""
+    """A Bell-measurement result, as ``bell_measure`` returns it."""
 
     __slots__ = ("tag",)
     tag: BellState
@@ -80,76 +82,20 @@ class BellOutcome(Record):
     def __init__(self, tag: BellState):
         object.__setattr__(self, "tag", tag)
 
-    @property
-    def bits(self) -> tuple[int, int]:
-        return self.tag.bits
 
-    @property
-    def bit_string(self) -> str:
-        return str(self.message())
+def decompose(u: InputQubit) -> dict[BellState, StateVector]:
+    """Expand U (x) phi+ over the Bell basis of (U, A): Bob's state on each branch, in ``BELL_ORDER``.
 
-    def message(self) -> Message2:
-        return Message2(*self.bits)
-
-
-class TeleportEntry(Record):
-    """One branch: its Bell state, Bob's conditional state, his correction and the branch amplitude."""
-
-    __slots__ = ("bell", "conditional_bob", "correction", "coefficient")
-    bell: BellState
-    conditional_bob: StateVector
-    correction: Matrix
-    coefficient: float
-
-    def __init__(self, bell: BellState, conditional_bob: StateVector, correction: Matrix,
-                 coefficient: float = 0.5):
-        object.__setattr__(self, "bell", bell)
-        object.__setattr__(self, "conditional_bob", conditional_bob)
-        object.__setattr__(self, "correction", correction)
-        object.__setattr__(self, "coefficient", coefficient)
-
-
-class TeleportDecomposition(Record):
-    """The four (branch, conditional Bob state, correction) triples."""
-
-    __slots__ = ("entries",)
-    entries: tuple[TeleportEntry, TeleportEntry, TeleportEntry, TeleportEntry]
-
-    def __init__(self, entries: tuple[TeleportEntry, ...]):
-        object.__setattr__(self, "entries", entries)
-
-    def __getitem__(self, tag: BellState) -> TeleportEntry:
-        for entry in self.entries:
-            if entry.bell is tag:
-                return entry
-        raise KeyError(tag)
-
-    def reconstruct(self) -> StateVector:
-        """Re-sum the branches; equals the joint input state U (x) phi+."""
-        total = [0j] * 8
-        for e in self.entries:
-            for i, z in enumerate(tensor(e.bell.vector(), e.conditional_bob).amps):
-                total[i] += e.coefficient * z
-        return StateVector(3, total)
-
-
-def decompose(u: InputQubit) -> TeleportDecomposition:
-    """Expand U (x) phi+ over the Bell basis of (U, A).
-
-    Bob's conditional state on each branch is the inverse (the conjugate
-    transpose) of that branch's correction applied to (alpha, beta).
+    Every branch has amplitude 1/2. Bob's conditional state on it is the
+    inverse (the conjugate transpose) of that branch's ``PAULI_TABLE``
+    correction applied to (alpha, beta).
     """
     amps = u.state().amps
-    entries = tuple(
-        TeleportEntry(tag, StateVector(1, correction.dagger() @ amps), correction)
-        for tag, (_, correction) in PAULI_TABLE.items()
-    )
-    return TeleportDecomposition(entries)  # type: ignore[arg-type]
+    return {tag: StateVector(1, correction.dagger() @ amps) for tag, (_, correction) in PAULI_TABLE.items()}
 
 
-def correction_for(outcome: "BellOutcome | BellState") -> Matrix:
+def correction_for(tag: BellState) -> Matrix:
     """Bob's correction unitary for a Bell outcome."""
-    tag = outcome.tag if isinstance(outcome, BellOutcome) else outcome
     return PAULI_TABLE[tag][1]
 
 
@@ -157,7 +103,7 @@ def _bell_measure_full(
     state: StateVector,
     rand: RandomSource | None,
     forced: BellState | None,
-) -> tuple[BellOutcome, StateVector, float]:
+) -> tuple[BellState, StateVector, float]:
     if state.qubit_count != 3:
         raise DimensionError("Bell measurement expects the 3-qubit joint state (U, A, B)")
     if forced is not None:
@@ -165,11 +111,11 @@ def _bell_measure_full(
         prob = float(branch_probabilities(state, UA_BELL_BASIS)[k])
         if prob <= ATOL:
             raise ValidationError(f"cannot force outcome {forced}: branch probability {prob!r}")
-        return BellOutcome(forced), _collapse(state, UA_BELL_BASIS, k, prob), prob
+        return forced, _collapse(state, UA_BELL_BASIS, k, prob), prob
     if rand is None:
         raise ValidationError("a RandomSource is required when no outcome is forced")
     k, collapsed, prob = measure_projective(state, UA_BELL_BASIS, rand)
-    return BellOutcome(BELL_ORDER[k]), collapsed, prob
+    return BELL_ORDER[k], collapsed, prob
 
 
 def bell_measure(
@@ -182,8 +128,8 @@ def bell_measure(
     ``forced`` is a testing hook that collapses deterministically onto
     the named branch; the production path samples from ``rand``.
     """
-    outcome, collapsed, _ = _bell_measure_full(state, rand, forced)
-    return outcome, collapsed
+    tag, collapsed, _ = _bell_measure_full(state, rand, forced)
+    return BellOutcome(tag), collapsed
 
 
 def extract_bob_state(collapsed: StateVector, tag: BellState) -> StateVector:
@@ -210,16 +156,17 @@ def run_teleportation(
     attaching the input, her Bell measurement, the two classical bits
     crossing the channel, Bob's correction, and the final fidelity.
     """
-    rand = RandomSource(seed)
+    check_seed(seed)  # a forced run draws nothing, but its header must still replay it
+    rand = RandomSource(seed) if force_outcome is None else None
     resource = BellState.PHI_PLUS.vector()
     state = u.state()
     joint = tensor(state, resource)
-    outcome, collapsed, prob = _bell_measure_full(joint, rand, force_outcome)
-    correction_name, correction = PAULI_TABLE[outcome.tag]
-    bob_before = extract_bob_state(collapsed, outcome.tag)
+    tag, collapsed, prob = _bell_measure_full(joint, rand, force_outcome)
+    correction_name, correction = PAULI_TABLE[tag]
+    bob_before = extract_bob_state(collapsed, tag)
     bob_after = StateVector(1, correction @ bob_before.amps)
     fidelity = abs(overlap(state, bob_after)) ** 2
-    bits = outcome.bit_string
+    bits = str(Message2(*tag.bits))
 
     events = (
         TraceEvent(1, "system", "share-bell-pair",
@@ -227,8 +174,7 @@ def run_teleportation(
         TraceEvent(2, "alice", "attach-input",
                    {"input": state.to_json(), "state": joint.to_json()}),
         TraceEvent(3, "alice", "bell-measurement",
-                   {"outcome": outcome.tag.value, "bits": bits,
-                    "probability": prob}),
+                   {"outcome": tag.value, "bits": bits, "probability": prob}),
         TraceEvent(4, "alice", "send-bits", {"bits": bits}),
         TraceEvent(5, "bob", "apply-correction",
                    {"correction": correction_name,

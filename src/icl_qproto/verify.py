@@ -160,8 +160,11 @@ def _check_teleport() -> Iterator[CheckResult]:
     dev = 0.0
     for u in inputs:
         joint = tensor(u.state(), BellState.PHI_PLUS.vector())
-        rebuilt = teleport.decompose(u).reconstruct()
-        dev = max(dev, max_deviation(rebuilt.amps, joint.amps))
+        rebuilt = [0j] * 8  # the branches re-summed: 1/2 sum_k |B_k> (x) bob_k
+        for tag, bob in teleport.decompose(u).items():
+            for i, z in enumerate(tensor(tag.vector(), bob).amps):
+                rebuilt[i] += 0.5 * z
+        dev = max(dev, max_deviation(rebuilt, joint.amps))
     yield CheckResult("decomposition-reconstruction", dev, 1e-10)
 
     dev = 0.0
@@ -181,9 +184,9 @@ def _check_teleport() -> Iterator[CheckResult]:
     dev = 0.0
     for u in inputs[:25]:
         marginal = [0.0, 0.0]
-        for e in teleport.decompose(u).entries:
-            for i, p in enumerate(e.conditional_bob.probabilities()):
-                marginal[i] += e.coefficient**2 * p
+        for bob in teleport.decompose(u).values():
+            for i, p in enumerate(bob.probabilities()):
+                marginal[i] += 0.25 * p  # each branch has probability (1/2)**2
         dev = max(dev, *(abs(m - 0.5) for m in marginal))
     yield CheckResult("no-signaling-marginal", dev, 1e-12)
 

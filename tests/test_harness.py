@@ -1,6 +1,8 @@
 """Tests for two-bit messages, trace emission, and the wire demo."""
 
+import io
 import json
+import math
 import socket
 import statistics
 import threading
@@ -23,6 +25,7 @@ from icl_qproto.harness import (
     run_wire_demo,
     validate_trace,
 )
+from icl_qproto.phasespace import BELL_ORDER
 from icl_qproto.statevec import ValidationError
 from icl_qproto.superdense import run_superdense
 from icl_qproto.teleport import InputQubit, run_teleportation
@@ -30,8 +33,10 @@ from icl_qproto.teleport import InputQubit, run_teleportation
 
 class TestMessage2:
     def test_rejects_non_bits(self):
-        with pytest.raises(ValidationError):
-            Message2(2, 0)
+        # booleans and floats too: str(Message2(True, False)) would be "TrueFalse", Message2(1.0, 0) "1.00"
+        for bits in ((2, 0), (True, False), (False, 0), (1.0, 0), (0, 1.0), ("1", 0)):
+            with pytest.raises(ValidationError):
+                Message2(*bits)
 
     def test_string_round_trip(self):
         assert Message2.from_string("10") == Message2(1, 0)
@@ -92,6 +97,32 @@ class TestTrace:
         missing = tmp_path / "no-such-dir" / "trace.jsonl"
         with pytest.raises(TraceWriteError, match="no-such-dir"):
             emit_trace(trace, missing)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        amps=st.tuples(*[st.floats(-1, 1, allow_nan=False)] * 4).filter(lambda a: math.hypot(*a) > 1e-3),
+        seed=st.integers(0, MAX_SEED),
+        forced=st.none() | st.sampled_from(BELL_ORDER),
+        message=st.sampled_from(["00", "01", "10", "11"]),
+    )
+    @example(amps=(0.6, 0.0, 0.8, 0.0), seed=7, forced=None, message="10")
+    def test_emitted_bytes_are_per_line_json_dumps(self, amps, seed, forced, message):
+        def oracle(trace: ProtocolTrace) -> str:
+            records = [{"protocol": trace.protocol, "seed": trace.seed}]
+            records += [{"step": e.step, "actor": e.actor, "action": e.action, "payload": e.payload}
+                        for e in trace.events]
+            return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+
+        norm = math.hypot(*amps)
+        re_a, im_a, re_b, im_b = (x / norm for x in amps)
+        traces = (
+            run_teleportation(InputQubit(complex(re_a, im_a), complex(re_b, im_b)), seed, forced),
+            run_superdense(Message2.from_string(message)),
+        )
+        for trace in traces:
+            sink = io.StringIO()
+            emit_trace(trace, sink)
+            assert sink.getvalue() == oracle(trace)
 
     def test_validator_checks_resource_ledger(self):
         trace = run_teleportation(InputQubit(1, 0), 5)

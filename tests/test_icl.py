@@ -36,12 +36,14 @@ class TestDiagramInvariants:
                 assert d.to_json()["sector"] == d.sector.value
 
     def test_phase_must_be_sign(self):
-        with pytest.raises(ValidationError):
-            IclDiagram(2, 0)
+        for phase in (0, True, 1.0, -1.0):  # to_json would print "phase":true or 1.0
+            with pytest.raises(ValidationError):
+                IclDiagram(2, phase)
 
     def test_negative_chain_rejected(self):
-        with pytest.raises(ValidationError):
-            IclDiagram(-1, +1)
+        for chain in (-1, 1.5, 2.0, True):  # and chains that are not ints: "chain":1.5
+            with pytest.raises(ValidationError):
+                IclDiagram(chain, +1)
 
     def test_json_form(self):
         assert IclDiagram(3, -1).to_json() == {

@@ -1,8 +1,10 @@
 """Tests for the four-point transform, Bell contraction, and H states."""
 
 import numpy as np
+import pytest
 
 from icl_qproto.phasespace import (
+    BELL_BASIS,
     BELL_ORDER,
     BellState,
     HState,
@@ -12,8 +14,17 @@ from icl_qproto.phasespace import (
     dft4,
     pair_determinant,
 )
+from icl_qproto.statevec import ProjectiveBasis
+from icl_qproto.teleport import UA_BELL_BASIS
 from icl_qproto.verify import _SUPERPOSITIONS
 from oracles import BELL, DFT4, H_VECTORS
+
+
+@pytest.mark.parametrize("basis", [BELL_BASIS, UA_BELL_BASIS], ids=["bell", "ua-bell"])
+def test_unchecked_bell_bases_pass_the_basis_check(basis):
+    # both are built without ProjectiveBasis's check; this is where it runs
+    ProjectiveBasis._check(basis.projectors)
+    assert ProjectiveBasis(basis.projectors)._terms == basis._terms
 
 
 class TestDft4:

@@ -13,14 +13,10 @@ import pytest
 
 from icl_qproto.harness import Message2, ProtocolTrace, TraceEvent
 from icl_qproto.icl import IclClass, IclDiagram, IclKind
-from icl_qproto.phasespace import PAULI_TABLE, BellState, Sector
-from icl_qproto.statevec import SIGMA_X, ProjectiveBasis, StateVector, basis_state, computational_projectors
-from icl_qproto.teleport import BellOutcome, InputQubit, TeleportDecomposition, TeleportEntry, decompose
+from icl_qproto.phasespace import BellState, Sector
+from icl_qproto.statevec import ProjectiveBasis, StateVector, computational_projectors
+from icl_qproto.teleport import BellOutcome, InputQubit
 from icl_qproto.verify import CheckResult
-
-# shared by the factories below: a StateVector equals only itself
-KET_1 = basis_state(1, 1)
-ENTRIES = decompose(InputQubit(1, 0)).entries
 
 # name -> (a factory that gives equal records on every call, the fields, the defaults it relies on)
 RECORDS = {
@@ -30,11 +26,6 @@ RECORDS = {
     "IclClass": (lambda: IclClass(IclKind.PRODUCT), ("kind", "bell", "sector"), {"bell": None, "sector": None}),
     "InputQubit": (lambda: InputQubit(0.6, 0.8j), ("alpha", "beta"), {}),
     "BellOutcome": (lambda: BellOutcome(BellState.PSI_MINUS), ("tag",), {}),
-    "TeleportEntry": (
-        lambda: TeleportEntry(BellState.PSI_PLUS, KET_1, SIGMA_X),
-        ("bell", "conditional_bob", "correction", "coefficient"), {"coefficient": 0.5},
-    ),
-    "TeleportDecomposition": (lambda: TeleportDecomposition(ENTRIES), ("entries",), {}),
     "Message2": (lambda: Message2(1, 0), ("b1", "b0"), {}),
     "TraceEvent": (lambda: TraceEvent(4, "alice", "send-bits", {"bits": "10"}), ("step", "actor", "action", "payload"), {}),
     "ProtocolTrace": (lambda: ProtocolTrace("teleport", 7), ("protocol", "seed", "events"), {"events": ()}),
@@ -88,8 +79,5 @@ def test_value_records_differ_when_one_field_does():
     assert IclClass(IclKind.SECTOR_CONFINED, sector=Sector.ODD) != IclClass(IclKind.SECTOR_CONFINED)
     assert IclDiagram(1, +1) != IclDiagram(3, +1)  # same state, different chains
     assert Message2(0, 1) != Message2(1, 0)
-    entry = TeleportEntry(BellState.PSI_PLUS, KET_1, PAULI_TABLE[BellState.PSI_PLUS][1])
-    assert TeleportEntry(entry.bell, entry.conditional_bob, entry.correction, 0.25) != entry
-    assert TeleportEntry(entry.bell, basis_state(1, 1), entry.correction) != entry  # another StateVector
     assert ProtocolTrace("teleport", 7, events=()) == ProtocolTrace("teleport", 7)
     assert ProtocolTrace("teleport", 7) != ProtocolTrace("teleport", 8)

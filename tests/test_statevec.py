@@ -454,6 +454,7 @@ class TestRandomSource:
             assert [ours.uniform() for _ in range(5)] == want, seed
 
     def test_seed_outside_64_bits_rejected(self):
-        for seed in (-1, 2**64):
+        # and seeds that are not ints: int(7.9) or int("7") would draw from seed 7
+        for seed in (-1, 2**64, 7.9, 7.0, True, "7", None):
             with pytest.raises(ValidationError, match="seed"):
                 RandomSource(seed)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from icl_qproto import teleport
 from icl_qproto.harness import validate_trace
 from icl_qproto.phasespace import BELL_ORDER, BellState
 from icl_qproto.statevec import (
@@ -15,7 +16,6 @@ from icl_qproto.statevec import (
     tensor,
 )
 from icl_qproto.teleport import (
-    BellOutcome,
     InputQubit,
     bell_measure,
     correction_for,
@@ -48,41 +48,44 @@ class TestInputQubit:
 
 class TestDecompose:
     def test_basis_zero_conditionals(self):
-        entries = decompose(InputQubit(1.0, 0.0)).entries
-        np.testing.assert_allclose(entries[0].conditional_bob.amps, [1, 0], atol=1e-15)
-        np.testing.assert_allclose(entries[1].conditional_bob.amps, [1, 0], atol=1e-15)
-        np.testing.assert_allclose(entries[2].conditional_bob.amps, [0, 1], atol=1e-15)
-        np.testing.assert_allclose(np.abs(entries[3].conditional_bob.amps), [0, 1], atol=1e-15)
+        bob = decompose(InputQubit(1.0, 0.0))
+        np.testing.assert_allclose(bob[BellState.PHI_PLUS].amps, [1, 0], atol=1e-15)
+        np.testing.assert_allclose(bob[BellState.PHI_MINUS].amps, [1, 0], atol=1e-15)
+        np.testing.assert_allclose(bob[BellState.PSI_PLUS].amps, [0, 1], atol=1e-15)
+        np.testing.assert_allclose(np.abs(bob[BellState.PSI_MINUS].amps), [0, 1], atol=1e-15)
 
     def test_phi_minus_conditional_negates_beta(self):
         alpha, beta = 0.6, 0.8j
         dec = decompose(InputQubit(alpha, beta))
         np.testing.assert_allclose(
-            dec[BellState.PHI_MINUS].conditional_bob.amps, [alpha, -beta], atol=1e-15
+            dec[BellState.PHI_MINUS].amps, [alpha, -beta], atol=1e-15
         )
 
     def test_psi_minus_conditional_for_balanced_input(self):
         s = np.sqrt(2.0)
         dec = decompose(InputQubit(1 / s, 1 / s))
         np.testing.assert_allclose(
-            dec[BellState.PSI_MINUS].conditional_bob.amps, [-1 / s, 1 / s], atol=1e-15
+            dec[BellState.PSI_MINUS].amps, [-1 / s, 1 / s], atol=1e-15
         )
 
     def test_all_coefficients_half(self):
-        dec = decompose(InputQubit(0.6, 0.8))
-        assert all(entry.coefficient == 0.5 for entry in dec.entries)
+        # each branch of U (x) phi+ is 1/2 |B_k> (x) bob_k: projecting onto |B_k> leaves bob_k / 2
+        u = InputQubit(0.6, 0.8j)
+        joint = np.asarray(tensor(u.state(), BellState.PHI_PLUS.vector()).amps).reshape(4, 2)
+        for tag, bob in decompose(u).items():
+            branch = np.conj(tag.vector().amps) @ joint
+            np.testing.assert_allclose(branch, 0.5 * np.asarray(bob.amps), atol=1e-15)
 
     def test_entries_in_bell_order(self):
-        dec = decompose(InputQubit(1.0, 0.0))
-        assert tuple(e.bell for e in dec.entries) == BELL_ORDER
+        assert tuple(decompose(InputQubit(1.0, 0.0))) == BELL_ORDER
 
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(101)
         for _ in range(100):
             u = random_input(rng)
             joint = tensor(u.state(), BellState.PHI_PLUS.vector())
-            rebuilt = decompose(u).reconstruct()
-            np.testing.assert_allclose(rebuilt.amps, joint.amps, atol=1e-10)
+            rebuilt = sum(0.5 * np.kron(tag.vector().amps, bob.amps) for tag, bob in decompose(u).items())
+            np.testing.assert_allclose(rebuilt, joint.amps, atol=1e-10)
 
 
 class TestCorrections:
@@ -98,16 +101,12 @@ class TestCorrections:
             correction_for(BellState.PSI_MINUS), [[0, 1], [-1, 0]], atol=0
         )
 
-    def test_accepts_outcome_wrapper(self):
-        outcome = BellOutcome(BellState.PSI_PLUS)
-        np.testing.assert_allclose(correction_for(outcome), [[0, 1], [1, 0]], atol=0)
-
     def test_correction_undoes_conditional_up_to_phase(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             u = random_input(rng)
-            for entry in decompose(u).entries:
-                fixed = StateVector(1, entry.correction @ entry.conditional_bob.amps)
+            for tag, bob in decompose(u).items():
+                fixed = StateVector(1, correction_for(tag) @ bob.amps)
                 assert abs(abs(overlap(fixed, u.state())) - 1.0) < 1e-12
 
     def test_psi_minus_composite_is_sign_free_here(self):
@@ -120,15 +119,10 @@ class TestCorrections:
 
 class TestBellOutcome:
     def test_bit_table(self):
-        assert BellOutcome(BellState.PHI_PLUS).bit_string == "00"
-        assert BellOutcome(BellState.PHI_MINUS).bit_string == "01"
-        assert BellOutcome(BellState.PSI_PLUS).bit_string == "10"
-        assert BellOutcome(BellState.PSI_MINUS).bit_string == "11"
-
-    def test_message_round_trip(self):
-        for tag in BELL_ORDER:
-            msg = BellOutcome(tag).message()
-            assert BellState.from_bits(msg.b1, msg.b0) is tag
+        u = InputQubit(0.6, 0.8)
+        for tag, bits in zip(BELL_ORDER, ("00", "01", "10", "11")):  # phi+, phi-, psi+, psi-
+            events = run_teleportation(u, 0, force_outcome=tag).events
+            assert events[2].payload["bits"] == events[3].payload["bits"] == bits
 
 
 class TestBellMeasure:
@@ -172,6 +166,23 @@ class TestBellMeasure:
         np.testing.assert_allclose(counts / 10_000, 0.25, atol=0.02)
 
 
+class TestSeed:
+    @pytest.mark.parametrize("forced", [None, BellState.PSI_MINUS], ids=["drawn", "forced"])
+    @pytest.mark.parametrize("seed", [7.9, True, "7", None, -1, 2**64])
+    def test_seed_the_header_cannot_replay_is_rejected(self, seed, forced):
+        # the header records the seed as given: "seed":7.9 would name a run drawn from seed 7
+        with pytest.raises(ValidationError, match="seed"):
+            run_teleportation(InputQubit(0.6, 0.8), seed, force_outcome=forced)
+
+    def test_forced_run_builds_no_random_source(self, monkeypatch):
+        def no_source(seed):
+            raise AssertionError("a forced run built a RandomSource")
+
+        monkeypatch.setattr(teleport, "RandomSource", no_source)
+        for tag in BELL_ORDER:
+            run_teleportation(InputQubit(0.6, 0.8), 7, force_outcome=tag)
+
+
 class TestRunTeleportation:
     def test_basis_state_any_seed(self):
         for seed in range(5):
@@ -211,15 +222,12 @@ class TestRunTeleportation:
         trace = run_teleportation(InputQubit(0.6, 0.8), 3)
         measurement = trace.events[2].payload
         tag = BellState.from_tag(measurement["outcome"])
-        assert measurement["bits"] == BellOutcome(tag).bit_string
+        assert measurement["bits"] == "".join(map(str, tag.bits))
         assert trace.events[3].payload["bits"] == measurement["bits"]
 
     def test_no_signaling_average_marginal(self):
         rng = np.random.default_rng(91)
         for _ in range(10):
             u = random_input(rng)
-            entries = decompose(u).entries
-            marginal = sum(
-                e.coefficient**2 * np.asarray(e.conditional_bob.probabilities()) for e in entries
-            )
+            marginal = sum(0.25 * np.asarray(bob.probabilities()) for bob in decompose(u).values())
             np.testing.assert_allclose(marginal, [0.5, 0.5], atol=1e-12)
