@@ -12,7 +12,7 @@ the modules it uses.
 
 # module -> the public names it defines
 _EXPORTS = {
-    "harness": ("Message2", "ProtocolTrace", "TraceEvent", "emit_trace", "run_wire_demo", "validate_trace"),
+    "harness": ("Message2", "ProtocolTrace", "TraceEvent", "emit_trace", "validate_trace"),
     "icl": (
         "IclClass",
         "IclDiagram",
@@ -23,14 +23,20 @@ _EXPORTS = {
         "extend_sigma_x",
         "state_to_diagram",
     ),
-    "phasespace": (
+    "measure": (
         "BELL_BASIS",
+        "ProjectiveBasis",
+        "RandomSource",
+        "bell_projectors",
+        "branch_probabilities",
+        "measure_projective",
+    ),
+    "phasespace": (
         "BELL_ORDER",
         "PAULI_TABLE",
         "BellState",
         "HState",
         "Sector",
-        "bell_projectors",
         "contract_bell",
         "dft4",
         "pair_determinant",
@@ -44,17 +50,12 @@ _EXPORTS = {
         "DimensionError",
         "HandshakeError",
         "Matrix",
-        "ProjectiveBasis",
-        "RandomSource",
         "StateVector",
         "TransportError",
         "ValidationError",
         "apply_1q",
         "basis_state",
-        "branch_probabilities",
-        "computational_projectors",
         "equal_up_to_global_phase",
-        "measure_projective",
         "overlap",
         "single_qubit",
         "tensor",
@@ -70,6 +71,7 @@ _EXPORTS = {
         "extract_bob_state",
         "run_teleportation",
     ),
+    "wire": ("run_wire_demo",),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 # it runs, so a process compiles no module its subcommand does not use.
 from .phasespace import BELL_ORDER, BellState, HState
 from .statevec import MAX_SEED, HandshakeError, StateVector, TransportError, ValidationError
-from .verify import SUITES
 
 if TYPE_CHECKING:
     from .harness import Message2
@@ -85,38 +84,39 @@ def _endpoint(text: str) -> tuple[str, int]:
     return host, port
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="icl-qproto", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    tele = sub.add_parser("teleport", help="run quantum teleportation")
+def _teleport_arguments(tele: _Parser) -> None:
     tele.add_argument("--alpha", type=_complex_pair, required=True, metavar="RE,IM")
     tele.add_argument("--beta", type=_complex_pair, required=True, metavar="RE,IM")
     tele.add_argument("--seed", type=_seed_value, default=None)
-    tele.add_argument(
-        "--force-outcome", choices=[t.value for t in BELL_ORDER], default=None
-    )
+    tele.add_argument("--force-outcome", choices=[t.value for t in BELL_ORDER], default=None)
     tele.add_argument("--trace", metavar="PATH", default=None)
     tele.add_argument("--json", action="store_true")
 
-    dense = sub.add_parser("superdense", help="run superdense coding")
+
+def _superdense_arguments(dense: _Parser) -> None:
     dense.add_argument("--message", required=True, metavar="BITS")
     dense.add_argument("--trace", metavar="PATH", default=None)
     dense.add_argument("--json", action="store_true")
 
-    bell = sub.add_parser("bell", help="inspect the canonical Bell and H states")
+
+def _bell_arguments(bell: _Parser) -> None:
     bell.add_argument("--list", action="store_true", dest="list_states")
     bell.add_argument("--json", action="store_true")
 
-    icl_cmd = sub.add_parser("icl", help="classify a two-qubit state")
+
+def _icl_arguments(icl_cmd: _Parser) -> None:
     icl_cmd.add_argument("--state", required=True, metavar="JSON")
     icl_cmd.add_argument("--json", action="store_true")
 
-    verify_cmd = sub.add_parser("verify", help="run the identity checks")
+
+def _verify_arguments(verify_cmd: _Parser) -> None:
+    from .verify import SUITES
+
     verify_cmd.add_argument("suite", nargs="?", choices=["all", *SUITES], default="all")
     verify_cmd.add_argument("--json", action="store_true")
 
-    wire = sub.add_parser("wire", help="two-process demo over TCP")
+
+def _wire_arguments(wire: _Parser) -> None:
     wire.add_argument("--role", choices=["alice", "bob"], required=True)
     wire.add_argument("--endpoint", type=_endpoint, required=True, metavar="HOST:PORT")
     wire.add_argument("--protocol", choices=["teleport", "superdense"], required=True)
@@ -125,6 +125,16 @@ def build_parser() -> _Parser:
     wire.add_argument("--message", default=None, metavar="BITS")
     wire.add_argument("--seed", type=_seed_value, default=None)
     wire.add_argument("--json", action="store_true")
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser; only ``command``'s arguments are built, or all if it names no command."""
+    parser = _Parser(prog="icl-qproto", description=__doc__)
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if name == command or command not in _COMMANDS:
+            add_arguments(subparser)
     return parser
 
 
@@ -164,7 +174,7 @@ def parse(argv: Sequence[str]) -> argparse.Namespace:
 
     ``.command`` on the result names the subcommand.
     """
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     ns = parser.parse_args(list(argv))
     if ns.command is None:
         raise UsageError("a subcommand is required (see --help)")
@@ -316,8 +326,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_wire(ns: argparse.Namespace) -> int:
-    from .harness import run_wire_demo
     from .teleport import InputQubit
+    from .wire import run_wire_demo
 
     host, port = ns.endpoint
     kwargs: dict[str, Any] = {"seed": ns.seed}
@@ -341,13 +351,15 @@ def _cmd_wire(ns: argparse.Namespace) -> int:
     return status
 
 
-_RUNNERS = {
-    "teleport": _cmd_teleport,
-    "superdense": _cmd_superdense,
-    "bell": _cmd_bell,
-    "icl": _cmd_icl,
-    "verify": _cmd_verify,
-    "wire": _cmd_wire,
+# command -> (its help line, the function that adds its arguments, its runner). A parser
+# builds only the parsed command's arguments, so no other command compiles verify's suites.
+_COMMANDS = {
+    "teleport": ("run quantum teleportation", _teleport_arguments, _cmd_teleport),
+    "superdense": ("run superdense coding", _superdense_arguments, _cmd_superdense),
+    "bell": ("inspect the canonical Bell and H states", _bell_arguments, _cmd_bell),
+    "icl": ("classify a two-qubit state", _icl_arguments, _cmd_icl),
+    "verify": ("run the identity checks", _verify_arguments, _cmd_verify),
+    "wire": ("two-process demo over TCP", _wire_arguments, _cmd_wire),
 }
 
 
@@ -358,7 +370,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _RUNNERS[ns.command](ns)
+        return _COMMANDS[ns.command][2](ns)
     except (TransportError, HandshakeError, OSError) as exc:  # OSError covers TraceWriteError
         print(f"error: {exc}", file=sys.stderr)
         return 3

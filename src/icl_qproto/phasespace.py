@@ -26,7 +26,6 @@ from .statevec import (
     SIGMA_Z,
     DimensionError,
     Matrix,
-    ProjectiveBasis,
     StateVector,
     ValidationError,
 )
@@ -89,10 +88,9 @@ class BellState(Enum):
 
     @classmethod
     def from_sector_phase(cls, sector: Sector, phase: int) -> "BellState":
-        try:
-            return _BY_SECTOR_PHASE[sector, phase]
-        except (KeyError, TypeError):
-            raise ValidationError(f"phase must be +1 or -1, got {phase}") from None
+        if isinstance(phase, bool) or not isinstance(phase, int) or phase not in (+1, -1):
+            raise ValidationError(f"phase must be the integer +1 or -1, got {phase!r}")
+        return _BY_SECTOR_PHASE[sector, phase]
 
     @classmethod
     def from_bits(cls, b1: int, b0: int) -> "BellState":
@@ -134,13 +132,6 @@ def contract_bell(sector: Sector) -> tuple[BellState, BellState]:
     return tuple(tag for tag in BELL_ORDER if tag.sector is sector)  # type: ignore[return-value]
 
 
-# |B><B| for each Bell state: constant, so the basis check runs in
-# tests/test_phasespace.py (and verify checks the vectors' orthonormality),
-# not on every import.
-BELL_BASIS = ProjectiveBasis._unchecked(tuple(
-    Matrix([[x * y.conjugate() for y in tag.vector().amps] for x in tag.vector().amps]) for tag in BELL_ORDER
-))
-
 # The local Pauli on qubit 1 that turns phi+ into each Bell state. It is
 # superdense coding's encoder and teleportation's correction alike.
 PAULI_TABLE = {
@@ -149,11 +140,6 @@ PAULI_TABLE = {
     BellState.PSI_PLUS: ("sigma_x", SIGMA_X),
     BellState.PSI_MINUS: ("sigma_z*sigma_x", SIGMA_Z @ SIGMA_X),
 }
-
-
-def bell_projectors() -> ProjectiveBasis:
-    """Rank-1 projectors onto the Bell states, in ``BELL_ORDER``."""
-    return BELL_BASIS
 
 
 class HState(Enum):

@@ -15,8 +15,9 @@ Bit assignment (mirrors the teleportation outcome encoding):
 from __future__ import annotations
 
 from .harness import Message2, ProtocolTrace, TraceEvent
-from .phasespace import BELL_BASIS, BELL_ORDER, PAULI_TABLE, BellState
-from .statevec import ATOL, DimensionError, Matrix, StateVector, apply_1q, branch_probabilities
+from .measure import BELL_BASIS, branch_probabilities
+from .phasespace import BELL_ORDER, PAULI_TABLE, BellState
+from .statevec import ATOL, DimensionError, Matrix, StateVector, apply_1q
 
 
 class ResourceError(ValueError):

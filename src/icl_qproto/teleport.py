@@ -23,21 +23,18 @@ from __future__ import annotations
 import math
 
 from .harness import Message2, ProtocolTrace, TraceEvent
-from .phasespace import BELL_BASIS, BELL_ORDER, PAULI_TABLE, BellState
+from .measure import BELL_BASIS, RandomSource, _collapse, branch_probabilities, measure_projective
+from .phasespace import BELL_ORDER, PAULI_TABLE, BellState
 from .statevec import (
     ATOL,
     DimensionError,
     Matrix,
-    RandomSource,
     Record,
     StateVector,
     ValidationError,
-    _collapse,
     _divided,
     _dot,
-    branch_probabilities,
     check_seed,
-    measure_projective,
     overlap,
     single_qubit,
     tensor,

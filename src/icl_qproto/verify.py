@@ -11,9 +11,9 @@ import math
 import random
 from typing import TYPE_CHECKING, Iterator
 
-# Each suite imports the modules it checks, so importing this module for
-# SUITES (as the CLI parser does) loads only phasespace and statevec.
+# Each suite imports the protocol modules it checks; reading SUITES compiles none.
 from . import phasespace
+from .measure import BELL_BASIS, branch_probabilities
 from .phasespace import BELL_ORDER, BellState, HState
 from .statevec import (
     SIGMA_X,
@@ -22,7 +22,6 @@ from .statevec import (
     Record,
     apply_1q,
     basis_state,
-    branch_probabilities,
     identity,
     max_deviation,
     overlap,
@@ -212,7 +211,7 @@ def _check_superdense() -> Iterator[CheckResult]:
 
     dev = 0.0
     for state in encoded:
-        probs = branch_probabilities(state, phasespace.BELL_BASIS)
+        probs = branch_probabilities(state, BELL_BASIS)
         dev = max(dev, abs(1.0 - max(probs)))
     yield CheckResult("decode-certainty", dev, 1e-12)
 

@@ -76,6 +76,17 @@ def one_qubit_gate_oracle(amps: np.ndarray, u: np.ndarray, target: int) -> np.nd
     return out
 
 
+def computational_projectors(qubit_count: int) -> list[np.ndarray]:
+    """Rank-1 projectors |k><k| onto every computational basis state, in index order."""
+    dim = 2**qubit_count
+    projectors = []
+    for k in range(dim):
+        p = np.zeros((dim, dim), dtype=complex)
+        p[k, k] = 1
+        projectors.append(p)
+    return projectors
+
+
 def bell_branch_probabilities_oracle(amps8: np.ndarray) -> dict[str, float]:
     """P(outcome) for a Bell measurement of qubits 1-2 of a 3-qubit state.
 

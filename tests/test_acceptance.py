@@ -9,8 +9,9 @@ import threading
 
 import numpy as np
 
-from icl_qproto.harness import Message2, emit_trace, run_wire_demo
+from icl_qproto.harness import Message2, emit_trace
 from icl_qproto.icl import IclClass, IclDiagram, IclKind, classify, diagram_to_state, extend_sigma_x, state_to_diagram
+from icl_qproto.measure import branch_probabilities
 from icl_qproto.phasespace import (
     BELL_ORDER,
     BellState,
@@ -24,13 +25,13 @@ from icl_qproto.statevec import (
     SIGMA_Z,
     StateVector,
     apply_1q,
-    branch_probabilities,
     overlap,
     tensor,
 )
 from icl_qproto.superdense import decode, encode
 from icl_qproto.teleport import UA_BELL_BASIS, InputQubit, run_teleportation
 from icl_qproto.verify import _SUPERPOSITIONS, verify
+from icl_qproto.wire import run_wire_demo
 from oracles import BELL, classify_oracle, random_state
 
 

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import socket
 import threading
 import warnings
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icl_qproto import harness, phasespace
-from icl_qproto.cli import UsageError, main, parse
+from icl_qproto import phasespace, wire
+from icl_qproto.cli import _COMMANDS, UsageError, build_parser, main, parse
 from icl_qproto.harness import Message2
 from icl_qproto.phasespace import HState
-from icl_qproto.verify import verify
+from icl_qproto.verify import SUITES, verify
 
 
 # every float as a component: huge, subnormal, nan, inf
@@ -124,6 +125,24 @@ class TestParse:
     def test_empty_argv(self):
         with pytest.raises(UsageError):
             parse([])
+
+    def test_suite_choices_come_from_the_suite_table(self, capsys):
+        with pytest.raises(SystemExit):
+            parse(["verify", "--help"])
+        assert "{" + ",".join(["all", *SUITES]) + "}" in capsys.readouterr().out
+        with pytest.raises(UsageError) as bogus:
+            parse(["verify", "bogus"])
+        named = re.findall(r"[\w-]+", str(bogus.value).split("choose from", 1)[1])
+        assert named == ["all", *SUITES]
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_one_commands_parser_prints_the_full_parsers_help(self, command, capsys):
+        helps = []
+        for parser in (build_parser(), build_parser(command)):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
 
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("ICL_QPROTO_SEED", "99")
@@ -252,13 +271,13 @@ class TestMainExitCodes:
     def test_non_ascii_from_peer_is_three(self, monkeypatch, capsys):
         ready = threading.Event()
         ports: list[int] = []
-        run_wire_demo = harness.run_wire_demo
+        run_wire_demo = wire.run_wire_demo
 
         def reporting_port(*args, **kwargs):
             kwargs["ready_callback"] = lambda p: (ports.append(p), ready.set())
             return run_wire_demo(*args, timeout=5.0, **kwargs)
 
-        monkeypatch.setattr(harness, "run_wire_demo", reporting_port)
+        monkeypatch.setattr(wire, "run_wire_demo", reporting_port)
         codes: list[int] = []
         bob = threading.Thread(target=lambda: codes.append(main(
             ["wire", "--role", "bob", "--endpoint", "127.0.0.1:0",

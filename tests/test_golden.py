@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 from icl_qproto.cli import main
-from icl_qproto.harness import MAX_SEED, Message2, emit_trace
+from icl_qproto.harness import Message2, emit_trace
 from icl_qproto.phasespace import BELL_ORDER
+from icl_qproto.statevec import MAX_SEED
 from icl_qproto.superdense import run_superdense
 from icl_qproto.teleport import InputQubit, run_teleportation
 

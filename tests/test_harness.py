@@ -13,22 +13,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icl_qproto.harness import (
-    MAX_LINE_LENGTH,
-    MAX_SEED,
-    HandshakeError,
     Message2,
     ProtocolTrace,
     TraceEvent,
     TraceWriteError,
-    TransportError,
     emit_trace,
-    run_wire_demo,
     validate_trace,
 )
 from icl_qproto.phasespace import BELL_ORDER
-from icl_qproto.statevec import ValidationError
+from icl_qproto.statevec import MAX_SEED, HandshakeError, TransportError, ValidationError
 from icl_qproto.superdense import run_superdense
 from icl_qproto.teleport import InputQubit, run_teleportation
+from icl_qproto.wire import MAX_LINE_LENGTH, run_wire_demo
 
 
 class TestMessage2:
@@ -53,6 +49,12 @@ class TestTrace:
         event = TraceEvent(2, "system", "verdict", {"fidelity": 1.0})
         with pytest.raises(ValidationError):
             ProtocolTrace("teleport", 0, (event,))
+
+    @pytest.mark.parametrize("seed", [7.5, True, -1, 2**64])
+    def test_seed_a_run_cannot_replay_from_is_rejected(self, seed):
+        # the header would read "seed":7.5, which no run can replay
+        with pytest.raises(ValidationError, match="seed"):
+            ProtocolTrace("teleport", seed, ())
 
     def test_verdict_required_for_emission(self, tmp_path):
         trace = ProtocolTrace(

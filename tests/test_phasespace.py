@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
+from icl_qproto.measure import BELL_BASIS, ProjectiveBasis, bell_projectors
 from icl_qproto.phasespace import (
-    BELL_BASIS,
     BELL_ORDER,
     BellState,
     HState,
     Sector,
-    bell_projectors,
     contract_bell,
     dft4,
     pair_determinant,
 )
-from icl_qproto.statevec import ProjectiveBasis
+from icl_qproto.statevec import ValidationError
 from icl_qproto.teleport import UA_BELL_BASIS
 from icl_qproto.verify import _SUPERPOSITIONS
 from oracles import BELL, DFT4, H_VECTORS
@@ -71,6 +70,14 @@ class TestContractBell:
             assert BellState.from_bits(*tag.bits) is tag
         assert BellState.PHI_PLUS.bits == (0, 0)
         assert BellState.PSI_MINUS.bits == (1, 1)
+
+    def test_sector_phase_lookup_takes_only_the_integers_plus_and_minus_one(self):
+        assert BellState.from_sector_phase(Sector.EVEN, +1) is BellState.PHI_PLUS
+        assert BellState.from_sector_phase(Sector.ODD, -1) is BellState.PSI_MINUS
+        # True == 1 and -1.0 == -1 hash alike, so a dict lookup alone would take them
+        for phase in (True, -1.0):
+            with pytest.raises(ValidationError, match="phase"):
+                BellState.from_sector_phase(Sector.EVEN, phase)
 
     def test_projectors_in_order(self):
         for projector, (tag, vec) in zip(bell_projectors(), BELL.items()):

@@ -13,10 +13,12 @@ import pytest
 
 from icl_qproto.harness import Message2, ProtocolTrace, TraceEvent
 from icl_qproto.icl import IclClass, IclDiagram, IclKind
+from icl_qproto.measure import ProjectiveBasis
 from icl_qproto.phasespace import BellState, Sector
-from icl_qproto.statevec import ProjectiveBasis, StateVector, computational_projectors
+from icl_qproto.statevec import StateVector
 from icl_qproto.teleport import BellOutcome, InputQubit
 from icl_qproto.verify import CheckResult
+from oracles import computational_projectors
 
 # name -> (a factory that gives equal records on every call, the fields, the defaults it relies on)
 RECORDS = {

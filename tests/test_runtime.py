@@ -89,11 +89,12 @@ def test_no_subcommand_loads_dataclasses_socket_or_pathlib():
 
 @pytest.mark.parametrize("argv, loaded", [
     ([], ""),
-    (["bell", "--list"], "cli phasespace statevec verify"),
-    (["icl", "--state", '{"n":2,"amps":[[1,0],[0,0],[0,0],[0,0]]}'], "cli icl phasespace statevec verify"),
-    (["superdense", "--message", "10"], "cli harness phasespace statevec superdense verify"),
-    (["teleport", "--alpha", "0.6,0", "--beta", "0.8,0"], "cli harness phasespace statevec teleport verify"),
-], ids=["import", "bell", "icl", "superdense", "teleport"])
+    (["bell", "--list"], "cli phasespace statevec"),
+    (["icl", "--state", '{"n":2,"amps":[[1,0],[0,0],[0,0],[0,0]]}'], "cli icl phasespace statevec"),
+    (["superdense", "--message", "10"], "cli harness measure phasespace statevec superdense"),
+    (["teleport", "--alpha", "0.6,0", "--beta", "0.8,0"], "cli harness measure phasespace statevec teleport"),
+    (["verify", "all"], "cli harness icl measure phasespace statevec superdense teleport verify"),
+], ids=["import", "bell", "icl", "superdense", "teleport", "verify"])
 def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded):
     # each module a process imports is compiled from source when no bytecode cache can be written
     child = _child(*argv, flags=("-S",), script=MODULES_CHILD)
@@ -125,9 +126,9 @@ def test_unknown_name_is_an_attribute_error():
 
 
 def test_moved_names_keep_every_import_path():
-    from icl_qproto import cli, harness, statevec
+    from icl_qproto import cli, statevec, wire
 
     for name in ("MAX_SEED", "HandshakeError", "TransportError"):
-        assert getattr(cli, name) is getattr(harness, name) is getattr(statevec, name), name
+        assert getattr(cli, name) is getattr(wire, name) is getattr(statevec, name), name
     assert icl_qproto.HandshakeError is statevec.HandshakeError
     assert icl_qproto.TransportError is statevec.TransportError

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icl_qproto.harness import Message2
+from icl_qproto.measure import ProjectiveBasis, RandomSource, branch_probabilities, measure_projective
 from icl_qproto.phasespace import BELL_ORDER, PAULI_TABLE
 from icl_qproto.statevec import (
     ATOL,
@@ -16,16 +17,11 @@ from icl_qproto.statevec import (
     SIGMA_X,
     SIGMA_Z,
     DimensionError,
-    ProjectiveBasis,
-    RandomSource,
     StateVector,
     ValidationError,
     apply_1q,
     basis_state,
-    branch_probabilities,
-    computational_projectors,
     equal_up_to_global_phase,
-    measure_projective,
     overlap,
     single_qubit,
     tensor,
@@ -35,6 +31,7 @@ from icl_qproto.teleport import InputQubit, run_teleportation
 from oracles import (
     BELL,
     bell_branch_probabilities_oracle,
+    computational_projectors,
     kron_oracle,
     one_qubit_gate_oracle,
     random_state,

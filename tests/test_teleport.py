@@ -5,10 +5,10 @@ import pytest
 
 from icl_qproto import teleport
 from icl_qproto.harness import validate_trace
+from icl_qproto.measure import RandomSource
 from icl_qproto.phasespace import BELL_ORDER, BellState
 from icl_qproto.statevec import (
     DimensionError,
-    RandomSource,
     StateVector,
     ValidationError,
     overlap,
