@@ -14,15 +14,12 @@ import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 # Only what parse() needs is imported here; each command imports the modules
 # it runs, so a process compiles no module its subcommand does not use.
 from .phasespace import BELL_ORDER, BellState, HState
 from .statevec import MAX_SEED, HandshakeError, StateVector, TransportError, ValidationError
-
-if TYPE_CHECKING:
-    from .harness import Message2
 
 SEED_ENV_VAR = "ICL_QPROTO_SEED"
 
@@ -138,16 +135,6 @@ def build_parser(command: str | None = None) -> _Parser:
     return parser
 
 
-def _env_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return _seed_value(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{SEED_ENV_VAR}: {exc}") from None
-
-
 def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
     try:
         norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
@@ -160,35 +147,35 @@ def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
     return alpha / norm, beta / norm
 
 
-def _message_bits(text: str) -> Message2:
-    from .harness import Message2
-
-    try:
-        return Message2.from_string(text)
-    except ValidationError as exc:
-        raise UsageError(f"--message: {exc}") from None
-
-
 def parse(argv: Sequence[str]) -> argparse.Namespace:
     """Turn an argv into validated options or raise UsageError.
 
-    ``.command`` on the result names the subcommand.
+    ``.command`` on the result names the subcommand. A protocol's inputs are
+    checked by one rule, whether its own command or ``wire`` carries them.
     """
     parser = build_parser(argv[0] if argv else None)
     ns = parser.parse_args(list(argv))
     if ns.command is None:
         raise UsageError("a subcommand is required (see --help)")
 
-    if ns.command == "teleport":
+    protocol = ns.protocol if ns.command == "wire" else ns.command
+    if protocol == "teleport":
+        if ns.alpha is None or ns.beta is None:  # only wire leaves them out
+            raise UsageError("wire teleport needs --alpha and --beta")
         ns.alpha, ns.beta = _normalized_pair(ns.alpha, ns.beta)
-        if ns.seed is None:
-            ns.seed = _env_seed()
-    elif ns.command == "bell":
+    elif protocol == "superdense":
+        if ns.message is None:  # only wire leaves it out
+            raise UsageError("wire superdense needs --message")
+        from .harness import Message2
+
+        try:
+            ns.message = Message2.from_string(ns.message)
+        except ValidationError as exc:
+            raise UsageError(f"--message: {exc}") from None
+    elif protocol == "bell":
         if not ns.list_states:
             raise UsageError("bell requires --list")
-    elif ns.command == "superdense":
-        ns.message = _message_bits(ns.message)
-    elif ns.command == "icl":
+    elif protocol == "icl":
         try:
             raw = json.loads(ns.state)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the stack
@@ -200,17 +187,11 @@ def parse(argv: Sequence[str]) -> argparse.Namespace:
             ns.state = StateVector.from_json(raw)
         except (ValidationError, ValueError) as exc:
             raise UsageError(f"--state: {exc}") from None
-    elif ns.command == "wire":
-        if ns.protocol == "teleport":
-            if ns.alpha is None or ns.beta is None:
-                raise UsageError("wire teleport needs --alpha and --beta")
-            ns.alpha, ns.beta = _normalized_pair(ns.alpha, ns.beta)
-        else:
-            if ns.message is None:
-                raise UsageError("wire superdense needs --message")
-            ns.message = _message_bits(ns.message)
-        if ns.seed is None:
-            ns.seed = _env_seed()
+    if ns.command in ("teleport", "wire") and ns.seed is None:
+        try:
+            ns.seed = _seed_value(os.environ.get(SEED_ENV_VAR, "0"))
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{SEED_ENV_VAR}: {exc}") from None
     return ns
 
 
@@ -221,16 +202,29 @@ def _print_json(obj: Any) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _cmd_teleport(ns: argparse.Namespace) -> int:
+def _report(ns: argparse.Namespace, summary: Any, *lines: str) -> None:
+    if ns.json:
+        _print_json(summary)
+    else:
+        for line in lines:
+            print(line)
+
+
+def _validate_and_emit(ns: argparse.Namespace, trace):
     from .harness import emit_trace, validate_trace
+
+    validate_trace(trace)
+    if ns.trace is not None:
+        emit_trace(trace, ns.trace)
+    return trace
+
+
+def _cmd_teleport(ns: argparse.Namespace) -> int:
     from .teleport import InputQubit, run_teleportation
 
     u = InputQubit(ns.alpha, ns.beta)
     force = BellState.from_tag(ns.force_outcome) if ns.force_outcome else None
-    trace = run_teleportation(u, ns.seed, force_outcome=force)
-    validate_trace(trace)
-    if ns.trace is not None:
-        emit_trace(trace, ns.trace)
+    trace = _validate_and_emit(ns, run_teleportation(u, ns.seed, force_outcome=force))
     measurement = trace.events[2].payload
     summary = {
         "protocol": "teleport",
@@ -239,23 +233,16 @@ def _cmd_teleport(ns: argparse.Namespace) -> int:
         "bits": measurement["bits"],
         "fidelity": trace.verdict["fidelity"],
     }
-    if ns.json:
-        _print_json(summary)
-    else:
-        print(f"teleport seed={ns.seed}")
-        print(f"  outcome  {summary['outcome']} (bits {summary['bits']})")
-        print(f"  fidelity {summary['fidelity']:.12f}")
+    _report(ns, summary, f"teleport seed={ns.seed}",
+            f"  outcome  {summary['outcome']} (bits {summary['bits']})",
+            f"  fidelity {summary['fidelity']:.12f}")
     return 0
 
 
 def _cmd_superdense(ns: argparse.Namespace) -> int:
-    from .harness import emit_trace, validate_trace
     from .superdense import run_superdense
 
-    trace = run_superdense(ns.message)
-    validate_trace(trace)
-    if ns.trace is not None:
-        emit_trace(trace, ns.trace)
+    trace = _validate_and_emit(ns, run_superdense(ns.message))
     encoded = trace.events[1].payload
     summary = {
         "protocol": "superdense",
@@ -263,12 +250,9 @@ def _cmd_superdense(ns: argparse.Namespace) -> int:
         "unitary": encoded["unitary"],
         "decoded": trace.verdict["decoded"],
     }
-    if ns.json:
-        _print_json(summary)
-    else:
-        print(f"superdense message={summary['message']}")
-        print(f"  unitary {summary['unitary']}")
-        print(f"  decoded {summary['decoded']}")
+    _report(ns, summary, f"superdense message={summary['message']}",
+            f"  unitary {summary['unitary']}",
+            f"  decoded {summary['decoded']}")
     return 0
 
 
@@ -307,47 +291,39 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     from .verify import verify
 
     results = verify(ns.suite)
-    if ns.json:
-        _print_json(
-            [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "deviation": r.deviation,
-                    "bound": r.bound,
-                }
-                for r in results
-            ]
-        )
-    else:
-        for r in results:
-            print(r.line())
+    summary = [
+        {
+            "name": r.name,
+            "passed": r.passed,
+            "deviation": r.deviation,
+            "bound": r.bound,
+        }
+        for r in results
+    ]
+    _report(ns, summary, *(r.line() for r in results))
     return 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_wire(ns: argparse.Namespace) -> int:
-    from .teleport import InputQubit
     from .wire import run_wire_demo
 
-    host, port = ns.endpoint
-    kwargs: dict[str, Any] = {"seed": ns.seed}
-    if ns.protocol == "teleport":
-        kwargs["input_qubit"] = InputQubit(ns.alpha, ns.beta)
-    else:
-        kwargs["message"] = ns.message
+    input_qubit = None
+    if ns.protocol == "teleport":  # a superdense process compiles no teleport module
+        from .teleport import InputQubit
+
+        input_qubit = InputQubit(ns.alpha, ns.beta)
     verdicts: list[str] = []
     status = run_wire_demo(
         ns.role,
-        host,
-        port,
+        *ns.endpoint,
         ns.protocol,
+        seed=ns.seed,
+        input_qubit=input_qubit,
+        message=ns.message,
         verdict_callback=verdicts.append,
-        **kwargs,
     )
-    if ns.json:
-        _print_json({"role": ns.role, "status": status, "verdict": verdicts[0]})
-    else:
-        print(f"{ns.role}: {verdicts[0]}")
+    summary = {"role": ns.role, "status": status, "verdict": verdicts[0]}
+    _report(ns, summary, f"{ns.role}: {verdicts[0]}")
     return status
 
 
@@ -366,17 +342,15 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         ns = parse(sys.argv[1:] if argv is None else argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return _COMMANDS[ns.command][2](ns)
+    except UsageError as exc:
+        code, error = 2, exc
     except (TransportError, HandshakeError, OSError) as exc:  # OSError covers TraceWriteError
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, exc
     except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, error = 1, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

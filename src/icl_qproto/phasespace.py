@@ -107,19 +107,14 @@ class BellState(Enum):
         return self.value
 
 
-BELL_ORDER = (
-    BellState.PHI_PLUS,
-    BellState.PHI_MINUS,
-    BellState.PSI_PLUS,
-    BellState.PSI_MINUS,
-)
+BELL_ORDER = tuple(BellState)  # the enum's definition order: phi+, phi-, psi+, psi-
 _BY_SECTOR_PHASE = {(tag.sector, tag.phase): tag for tag in BELL_ORDER}
 _BY_BITS = {tag.bits: tag for tag in BELL_ORDER}  # any nonzero bit reads as 1
 
-# phi+/phi- from the even pair (|00>, |11>); psi+/psi- from the odd pair (|01>, |10>)
+# the Hadamard on the tag's sector pair, (|00>, |11>) or (|01>, |10>): its + row
+# (phase bit 0) gives phi+ and psi+, its - row (phase bit 1) phi- and psi-
 _CANONICAL_BELL = {
-    tag: StateVector(2, amps)
-    for tag, amps in zip(BELL_ORDER, (*_hadamard_pair(0, 3), *_hadamard_pair(1, 2)))
+    tag: StateVector(2, _hadamard_pair(*tag.sector.basis_indexes)[tag.bits[1]]) for tag in BELL_ORDER
 }
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, BinaryIO, Callable, NamedTuple
 
-from .statevec import MAX_SEED, HandshakeError, TransportError, ValidationError
+from .statevec import MAX_SEED, HandshakeError, TransportError, ValidationError, check_seed
 
 if TYPE_CHECKING:
     import socket
@@ -169,10 +169,10 @@ def run_wire_demo(
 ) -> int:
     """Run one side of the two-process demo; returns 0 on matching verdicts.
 
-    Alice connects and drives the handshake (her seed is authoritative);
-    Bob listens, adopts the seed, and mirrors the run. ``ready_callback``
-    receives Bob's bound port once listening, which lets callers bind
-    port 0. ``verdict_callback`` receives the agreed verdict string.
+    Alice checks her seed, connects and drives the handshake (her seed is
+    authoritative); Bob listens, adopts the seed, and mirrors the run.
+    ``ready_callback`` receives Bob's bound port once listening, which lets
+    callers bind port 0. ``verdict_callback`` receives the agreed verdict string.
     """
     if role not in ("alice", "bob"):
         raise ValidationError(f"role must be 'alice' or 'bob', got {role!r}")
@@ -185,14 +185,12 @@ def run_wire_demo(
     import socket
 
     if role == "alice":
+        seed = check_seed(0 if seed is None else seed)  # before a bad seed costs the peer a session
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
-        verdict = _converse(
-            sock, timeout, _alice_session,
-            protocol, seed if seed is not None else 0, input_qubit, message,
-        )
+        verdict = _converse(sock, timeout, _alice_session, protocol, seed, input_qubit, message)
     else:
         try:
             family = socket.AF_INET6 if ":" in host else socket.AF_INET  # an IPv6 literal

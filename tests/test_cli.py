@@ -196,6 +196,29 @@ class TestParse:
         assert isinstance(result, argparse.Namespace)
 
 
+def _superdense_bob(monkeypatch, codes: list[int]) -> tuple[threading.Thread, int]:
+    """Start ``main`` as a superdense bob (message 00) on a free loopback port, in a thread.
+
+    Returns the thread and the port; bob's exit code is appended to ``codes``.
+    """
+    ready = threading.Event()
+    ports: list[int] = []
+    run_wire_demo = wire.run_wire_demo
+
+    def reporting_port(*args, **kwargs):
+        kwargs["ready_callback"] = lambda p: (ports.append(p), ready.set())
+        return run_wire_demo(*args, timeout=5.0, **kwargs)
+
+    monkeypatch.setattr(wire, "run_wire_demo", reporting_port)
+    bob = threading.Thread(target=lambda: codes.append(main(
+        ["wire", "--role", "bob", "--endpoint", "127.0.0.1:0",
+         "--protocol", "superdense", "--message", "00"]
+    )))
+    bob.start()
+    assert ready.wait(10)
+    return bob, ports[0]
+
+
 class TestMainExitCodes:
     def test_success(self, capsys):
         assert main(["teleport", "--alpha", "1,0", "--beta", "0,0", "--seed", "1"]) == 0
@@ -269,29 +292,32 @@ class TestMainExitCodes:
         assert code == 3
 
     def test_non_ascii_from_peer_is_three(self, monkeypatch, capsys):
-        ready = threading.Event()
-        ports: list[int] = []
-        run_wire_demo = wire.run_wire_demo
-
-        def reporting_port(*args, **kwargs):
-            kwargs["ready_callback"] = lambda p: (ports.append(p), ready.set())
-            return run_wire_demo(*args, timeout=5.0, **kwargs)
-
-        monkeypatch.setattr(wire, "run_wire_demo", reporting_port)
         codes: list[int] = []
-        bob = threading.Thread(target=lambda: codes.append(main(
-            ["wire", "--role", "bob", "--endpoint", "127.0.0.1:0",
-             "--protocol", "superdense", "--message", "00"]
-        )))
-        bob.start()
-        assert ready.wait(10)
-        with socket.create_connection(("127.0.0.1", ports[0]), timeout=10) as sock:
+        bob, port = _superdense_bob(monkeypatch, codes)
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
             sock.sendall(b"HELLO v1 \xff\n")
             reply = sock.makefile("rb").readline()
         bob.join(10)
         assert reply == b"ERR non-ascii\n"
         assert codes == [3]
         assert "non-ASCII" in capsys.readouterr().err
+
+    def test_disagreeing_wire_peers_exit_one(self, monkeypatch, capsys):
+        codes: list[int] = []
+        bob, port = _superdense_bob(monkeypatch, codes)
+        alice = main(
+            ["wire", "--role", "alice", "--endpoint", f"127.0.0.1:{port}",
+             "--protocol", "superdense", "--message", "01"]
+        )
+        bob.join(10)
+        assert (alice, codes) == (1, [1])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # bob computed a different verdict; alice's DONE was answered with ERR
+        assert sorted(captured.err.splitlines()) == [
+            "error: verdicts disagree: computed 'decoded=00', peer said 'DONE decoded=01'",
+            "error: verdicts disagree: sent 'decoded=01', peer said 'ERR verdict-mismatch'",
+        ]
 
 
 class TestSubcommands:

@@ -3,10 +3,13 @@
 The ``*.jsonl`` files under ``tests/golden/`` pin the replay guarantee: a
 protocol, its inputs and its seed fix the emitted JSON-lines bytes. The
 ``cli-*.stdout`` files pin the stdout of the deterministic CLI commands
-(``verify all`` with and without ``--json``, ``bell --list``). A change
-that alters any of them changes the trace format, the simulation or the
-CLI output, and has to say so. To rewrite the files after such an
-intended change, run ``PYTHONPATH=src python tests/test_golden.py``.
+(``verify all`` with and without ``--json``, ``bell --list``, teleport
+and superdense in text and ``--json``, ``icl`` on a Bell and a product
+state); each teleport argv names its seed, so ``ICL_QPROTO_SEED`` cannot
+leak in. A change that alters any of them changes the trace format, the
+simulation or the CLI output, and has to say so. To rewrite the files
+after such an intended change, run
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -86,6 +89,17 @@ CLI_CASES = {
     "cli-verify-all": ["verify", "all"],
     "cli-verify-all-json": ["verify", "all", "--json"],
     "cli-bell-list": ["bell", "--list"],
+    "cli-teleport": ["teleport", "--alpha", "0.6,0", "--beta", "0.8,0", "--seed", "7"],
+    "cli-teleport-json": ["teleport", "--alpha", "0.6,0", "--beta", "0.8,0", "--seed", "7", "--json"],
+    "cli-teleport-forced-psi-": [
+        "teleport", "--alpha", "0.6,0", "--beta", "0.8,0", "--seed", "0", "--force-outcome", "psi-",
+    ],
+    "cli-superdense-10": ["superdense", "--message", "10"],
+    "cli-superdense-10-json": ["superdense", "--message", "10", "--json"],
+    "cli-icl-phi+": [
+        "icl", "--state", '{"n":2,"amps":[[0.7071067811865476,0],[0,0],[0,0],[0.7071067811865476,0]]}',
+    ],
+    "cli-icl-product": ["icl", "--state", '{"n":2,"amps":[[1,0],[0,0],[0,0],[0,0]]}'],
 }
 
 

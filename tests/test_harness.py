@@ -413,6 +413,13 @@ class TestWireDemo:
                 timeout=2.0,
             )
 
+    @pytest.mark.parametrize("seed", [7.5, True, -1, 2**64, "7"], ids=repr)
+    def test_alice_checks_her_seed_before_connecting(self, seed):
+        # port 1 is never listening, so a seed sent on would end in TransportError instead
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            run_wire_demo("alice", "127.0.0.1", 1, "superdense",
+                          seed=seed, message=Message2(0, 0), timeout=2.0)
+
     def test_role_and_params_validated(self):
         with pytest.raises(ValidationError):
             run_wire_demo("carol", "127.0.0.1", 1, "teleport", input_qubit=InputQubit(1, 0))

@@ -49,13 +49,14 @@ print("ok")
 """
 
 
-# one subcommand (or, with no argv, a bare "import icl_qproto"), then the package modules loaded
+# one subcommand and its exit code (or, with no argv, a bare "import icl_qproto"),
+# then the package modules loaded
 MODULES_CHILD = """
 import contextlib, io, sys
-if sys.argv[1:]:
+if sys.argv[2:]:
     from icl_qproto.cli import main
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(sys.argv[1:]) == 0, sys.argv
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(sys.argv[2:]) == int(sys.argv[1]), sys.argv
 else:
     import icl_qproto
 print(" ".join(sorted(name.split(".")[1] for name in sys.modules if name.startswith("icl_qproto."))))
@@ -87,17 +88,20 @@ def test_no_subcommand_loads_dataclasses_socket_or_pathlib():
     assert (child.returncode, child.stdout) == (0, "\n"), child.stderr
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    ([], ""),
-    (["bell", "--list"], "cli phasespace statevec"),
-    (["icl", "--state", '{"n":2,"amps":[[1,0],[0,0],[0,0],[0,0]]}'], "cli icl phasespace statevec"),
-    (["superdense", "--message", "10"], "cli harness measure phasespace statevec superdense"),
-    (["teleport", "--alpha", "0.6,0", "--beta", "0.8,0"], "cli harness measure phasespace statevec teleport"),
-    (["verify", "all"], "cli harness icl measure phasespace statevec superdense teleport verify"),
-], ids=["import", "bell", "icl", "superdense", "teleport", "verify"])
-def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded):
+@pytest.mark.parametrize("argv, loaded, code", [
+    ([], "", 0),
+    (["bell", "--list"], "cli phasespace statevec", 0),
+    (["icl", "--state", '{"n":2,"amps":[[1,0],[0,0],[0,0],[0,0]]}'], "cli icl phasespace statevec", 0),
+    (["superdense", "--message", "10"], "cli harness measure phasespace statevec superdense", 0),
+    (["teleport", "--alpha", "0.6,0", "--beta", "0.8,0"], "cli harness measure phasespace statevec teleport", 0),
+    (["verify", "all"], "cli harness icl measure phasespace statevec superdense teleport verify", 0),
+    # port 1 is never listening, so the connection is refused (exit 3); no teleport module loads
+    (["wire", "--role", "alice", "--endpoint", "127.0.0.1:1", "--protocol", "superdense", "--message", "01"],
+     "cli harness phasespace statevec wire", 3),
+], ids=["import", "bell", "icl", "superdense", "teleport", "verify", "wire-superdense"])
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded, code):
     # each module a process imports is compiled from source when no bytecode cache can be written
-    child = _child(*argv, flags=("-S",), script=MODULES_CHILD)
+    child = _child(str(code), *argv, flags=("-S",), script=MODULES_CHILD)
     assert (child.returncode, child.stdout) == (0, loaded + "\n"), child.stderr
 
 
