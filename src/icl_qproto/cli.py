@@ -162,10 +162,14 @@ def parse(argv: Sequence[str]) -> argparse.Namespace:
     if protocol == "teleport":
         if ns.alpha is None or ns.beta is None:  # only wire leaves them out
             raise UsageError("wire teleport needs --alpha and --beta")
+        if ns.command == "wire" and ns.message is not None:
+            raise UsageError("wire teleport takes no --message")
         ns.alpha, ns.beta = _normalized_pair(ns.alpha, ns.beta)
     elif protocol == "superdense":
         if ns.message is None:  # only wire leaves it out
             raise UsageError("wire superdense needs --message")
+        if ns.command == "wire" and (ns.alpha is not None or ns.beta is not None):
+            raise UsageError("wire superdense takes no --alpha or --beta")
         from .harness import Message2
 
         try:

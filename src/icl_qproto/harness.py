@@ -28,8 +28,7 @@ class Message2(Record):
     def __init__(self, b1: int, b0: int):
         if any(isinstance(b, bool) or not isinstance(b, int) or b not in (0, 1) for b in (b1, b0)):
             raise ValidationError(f"bits must be the integers 0 or 1, got ({b1!r}, {b0!r})")
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "b0", b0)
+        super().__init__(b1, b0)
 
     @property
     def bits(self) -> tuple[int, int]:
@@ -54,12 +53,6 @@ class TraceEvent(Record):
     action: str
     payload: dict[str, Any]
 
-    def __init__(self, step: int, actor: str, action: str, payload: dict[str, Any]):
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "actor", actor)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "payload", payload)
-
 
 class ProtocolTrace(Record):
     """Ordered event log of one protocol run, replayable from its seed."""
@@ -76,9 +69,7 @@ class ProtocolTrace(Record):
                     f"trace steps must run 1..{len(events)}; "
                     f"event {i} carries step {event.step}"
                 )
-        object.__setattr__(self, "protocol", protocol)
-        object.__setattr__(self, "seed", seed if seed is None else check_seed(seed))
-        object.__setattr__(self, "events", events)
+        super().__init__(protocol, seed if seed is None else check_seed(seed), events)
 
     @property
     def verdict(self) -> dict[str, Any]:

@@ -45,8 +45,7 @@ class IclDiagram(Record):
             raise ValidationError(f"chain_length must be an integer >= 0, got {chain_length!r}")
         if isinstance(phase, bool) or not isinstance(phase, int) or phase not in (+1, -1):
             raise ValidationError(f"phase must be the integer +1 or -1, got {phase!r}")
-        object.__setattr__(self, "chain_length", chain_length)
-        object.__setattr__(self, "phase", phase)
+        super().__init__(chain_length, phase)
 
     @property
     def sector(self) -> Sector:
@@ -72,9 +71,7 @@ class IclClass(Record):
     sector: Sector | None
 
     def __init__(self, kind: IclKind, bell: BellState | None = None, sector: Sector | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "bell", bell)
-        object.__setattr__(self, "sector", sector)
+        super().__init__(kind, bell, sector)
 
     def to_json(self) -> dict:
         out: dict = {"class": self.kind.value}

@@ -127,8 +127,7 @@ class ProjectiveBasis(Record):
                     raise ValidationError("projectors are not mutually orthogonal idempotents")
 
     def _hold(self, projectors: tuple[Matrix, ...]) -> None:
-        object.__setattr__(self, "projectors", projectors)
-        object.__setattr__(self, "_terms", tuple(
+        super().__init__(projectors, tuple(
             tuple((i, j, x) for i, row in enumerate(p) for j, x in enumerate(row) if x)
             for p in projectors
         ))
@@ -150,6 +149,9 @@ class ProjectiveBasis(Record):
             tuple.__new__(Matrix, (tuple(x * y for x in row for y in one) for row in p for one in IDENTITY2))
             for p in self.projectors
         ))
+
+    def __reduce__(self):  # _terms is derived, so a copy is built, and checked, from the projectors
+        return ProjectiveBasis, (self.projectors,)
 
     def __repr__(self) -> str:
         return f"ProjectiveBasis(projectors={self.projectors!r})"

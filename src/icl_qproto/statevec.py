@@ -74,16 +74,25 @@ def max_deviation(xs: Sequence[complex], ys: Sequence[complex]) -> float:
 class Record:
     """Base of the package's immutable records.
 
-    A subclass names its fields in ``__slots__``, in constructor order,
-    and sets each one once in ``__init__`` through ``object.__setattr__``;
-    after that, assigning or deleting a field raises ``AttributeError``.
-    Records of one class are equal, and hash alike, when their fields
-    are, and print as ``Name(field=value, ...)``. Plain slotted classes
-    keep the command line from loading ``dataclasses`` (and ``inspect``)
-    and from generating their methods on every start.
+    A subclass names its fields in ``__slots__``, in constructor order.
+    ``Record.__init__`` stores them, and nothing else does: a subclass
+    with invariants checks and converts its values, then passes them on.
+    After that, assigning or deleting a field raises ``AttributeError``,
+    and copies and pickles rebuild a record through its constructor, so
+    every record has passed its checks. Records of one class are equal,
+    and hash alike, when their fields are, and print as
+    ``Name(field=value, ...)``. Plain slotted classes keep the command
+    line from loading ``dataclasses`` (and ``inspect``) and from
+    generating their methods on every start.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -91,9 +100,8 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __setstate__(self, state):  # copy and pickle restore the slots past __setattr__
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+    def __reduce__(self):
+        return type(self), self._values()
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -193,7 +201,6 @@ class StateVector(Record):
         n = qubit_count
         if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
             raise DimensionError(f"qubit_count must be 1..{MAX_QUBITS}, got {n}")
-        object.__setattr__(self, "qubit_count", int(n))
         amps = tuple(map(complex, amps))
         if len(amps) != 2**n:
             raise DimensionError(f"{n}-qubit state needs {2**n} amplitudes, got {len(amps)}")
@@ -204,7 +211,7 @@ class StateVector(Record):
             if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in amps):
                 raise ValidationError("amplitudes must be finite")
             raise ValidationError(f"state is not normalized: sum |amp|^2 = {sumsq!r}")
-        object.__setattr__(self, "amps", amps)
+        super().__init__(int(n), amps)
 
     @classmethod
     def from_amplitudes(cls, amps: Sequence[complex]) -> "StateVector":

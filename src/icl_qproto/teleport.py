@@ -54,30 +54,21 @@ class InputQubit(Record):
 
     def __init__(self, alpha: complex, beta: complex):
         try:
-            alpha, beta = complex(alpha), complex(beta)
+            amps = single_qubit(alpha, beta).amps  # StateVector checks the pair
         except OverflowError as exc:  # an int past the float range
             raise ValidationError(f"input qubit amplitude out of range: {exc}") from None
-        try:
-            sumsq = abs(alpha) ** 2 + abs(beta) ** 2
-        except OverflowError:  # |alpha| or |beta| past about 1.3e154
-            sumsq = math.inf
-        if not math.isfinite(sumsq) or abs(sumsq - 1.0) > ATOL:
-            raise ValidationError(f"input qubit is not normalized: |a|^2+|b|^2 = {sumsq!r}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        super().__init__(*amps)
 
     def state(self) -> StateVector:
         return single_qubit(self.alpha, self.beta)
 
 
 class BellOutcome(Record):
-    """A Bell-measurement result, as ``bell_measure`` returns it."""
+    """A Bell-measurement result and its probability, as ``bell_measure`` returns it."""
 
-    __slots__ = ("tag",)
+    __slots__ = ("tag", "probability")
     tag: BellState
-
-    def __init__(self, tag: BellState):
-        object.__setattr__(self, "tag", tag)
+    probability: float
 
 
 def decompose(u: InputQubit) -> dict[BellState, StateVector]:
@@ -96,25 +87,6 @@ def correction_for(tag: BellState) -> Matrix:
     return PAULI_TABLE[tag][1]
 
 
-def _bell_measure_full(
-    state: StateVector,
-    rand: RandomSource | None,
-    forced: BellState | None,
-) -> tuple[BellState, StateVector, float]:
-    if state.qubit_count != 3:
-        raise DimensionError("Bell measurement expects the 3-qubit joint state (U, A, B)")
-    if forced is not None:
-        k = BELL_ORDER.index(forced)
-        prob = float(branch_probabilities(state, UA_BELL_BASIS)[k])
-        if prob <= ATOL:
-            raise ValidationError(f"cannot force outcome {forced}: branch probability {prob!r}")
-        return forced, _collapse(state, UA_BELL_BASIS, k, prob), prob
-    if rand is None:
-        raise ValidationError("a RandomSource is required when no outcome is forced")
-    k, collapsed, prob = measure_projective(state, UA_BELL_BASIS, rand)
-    return BELL_ORDER[k], collapsed, prob
-
-
 def bell_measure(
     state: StateVector,
     rand: RandomSource | None,
@@ -125,8 +97,18 @@ def bell_measure(
     ``forced`` is a testing hook that collapses deterministically onto
     the named branch; the production path samples from ``rand``.
     """
-    tag, collapsed, _ = _bell_measure_full(state, rand, forced)
-    return BellOutcome(tag), collapsed
+    if state.qubit_count != 3:
+        raise DimensionError("Bell measurement expects the 3-qubit joint state (U, A, B)")
+    if forced is not None:
+        k = BELL_ORDER.index(forced)
+        prob = float(branch_probabilities(state, UA_BELL_BASIS)[k])
+        if prob <= ATOL:
+            raise ValidationError(f"cannot force outcome {forced}: branch probability {prob!r}")
+        return BellOutcome(forced, prob), _collapse(state, UA_BELL_BASIS, k, prob)
+    if rand is None:
+        raise ValidationError("a RandomSource is required when no outcome is forced")
+    k, collapsed, prob = measure_projective(state, UA_BELL_BASIS, rand)
+    return BellOutcome(BELL_ORDER[k], prob), collapsed
 
 
 def extract_bob_state(collapsed: StateVector, tag: BellState) -> StateVector:
@@ -158,7 +140,8 @@ def run_teleportation(
     resource = BellState.PHI_PLUS.vector()
     state = u.state()
     joint = tensor(state, resource)
-    tag, collapsed, prob = _bell_measure_full(joint, rand, force_outcome)
+    outcome, collapsed = bell_measure(joint, rand, force_outcome)
+    tag = outcome.tag
     correction_name, correction = PAULI_TABLE[tag]
     bob_before = extract_bob_state(collapsed, tag)
     bob_after = StateVector(1, correction @ bob_before.amps)
@@ -171,7 +154,7 @@ def run_teleportation(
         TraceEvent(2, "alice", "attach-input",
                    {"input": state.to_json(), "state": joint.to_json()}),
         TraceEvent(3, "alice", "bell-measurement",
-                   {"outcome": tag.value, "bits": bits, "probability": prob}),
+                   {"outcome": tag.value, "bits": bits, "probability": outcome.probability}),
         TraceEvent(4, "alice", "send-bits", {"bits": bits}),
         TraceEvent(5, "bob", "apply-correction",
                    {"correction": correction_name,

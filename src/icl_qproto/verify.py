@@ -40,11 +40,6 @@ class CheckResult(Record):
     deviation: float
     bound: float
 
-    def __init__(self, name: str, deviation: float, bound: float):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "deviation", deviation)
-        object.__setattr__(self, "bound", bound)
-
     @property
     def passed(self) -> bool:
         return self.deviation <= self.bound

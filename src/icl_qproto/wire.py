@@ -86,12 +86,10 @@ def _mirror_run(protocol: str, seed: int, input_qubit, message) -> tuple[str, st
         trace = run_teleportation(input_qubit, seed)
         bits = next(e.payload["bits"] for e in trace.events if e.action == "send-bits")
         return f"CC {bits}", f"fidelity={trace.verdict['fidelity']!r}"
-    if protocol == "superdense":
-        from .superdense import run_superdense
+    from .superdense import run_superdense
 
-        trace = run_superdense(message)
-        return "QUBIT-SENT", f"decoded={trace.verdict['decoded']}"
-    raise ValidationError(f"unknown protocol {protocol!r}")
+    trace = run_superdense(message)
+    return "QUBIT-SENT", f"decoded={trace.verdict['decoded']}"
 
 
 def _alice_session(wire, protocol, seed, input_qubit, message) -> str:
@@ -176,6 +174,8 @@ def run_wire_demo(
     """
     if role not in ("alice", "bob"):
         raise ValidationError(f"role must be 'alice' or 'bob', got {role!r}")
+    if protocol not in ("teleport", "superdense"):
+        raise ValidationError(f"unknown protocol {protocol!r}")
     if protocol == "teleport" and input_qubit is None:
         raise ValidationError("teleport demo needs an input qubit")
     if protocol == "superdense" and message is None:

@@ -166,6 +166,15 @@ class TestParse:
         with pytest.raises(UsageError):
             parse(["wire", "--role", "bob", "--endpoint", "h:1", "--protocol", "superdense"])
 
+    @pytest.mark.parametrize("endpoint, error", [
+        ("h:x", "port must be an integer in 'h:x'"),
+        ("h:70000", "port out of range in 'h:70000'"),
+    ])
+    def test_wire_endpoint_port_is_a_usage_error(self, endpoint, error, capsys):
+        assert main(["wire", "--role", "bob", "--endpoint", endpoint,
+                     "--protocol", "superdense", "--message", "01"]) == 2
+        assert capsys.readouterr().err == f"error: argument --endpoint: {error}\n"
+
     def test_wire_endpoint_parsed(self):
         cmd = parse(
             ["wire", "--role", "bob", "--endpoint", "127.0.0.1:9000",
@@ -283,6 +292,20 @@ class TestMainExitCodes:
         assert main([*argv, "--trace", ""]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write trace to '': ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--protocol", "teleport", "--alpha", "1,0", "--beta", "0,0", "--message", "zz"],
+         "wire teleport takes no --message"),
+        (["--protocol", "superdense", "--message", "01", "--alpha", "5,5"],
+         "wire superdense takes no --alpha or --beta"),
+    ], ids=["teleport-message", "superdense-alpha"])
+    def test_other_protocols_option_is_two_before_any_socket(self, argv, error, monkeypatch, capsys):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "create_connection", no_socket)
+        assert main(["wire", "--role", "alice", "--endpoint", "127.0.0.1:1", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_transport_error_is_three(self, capsys):
         code = main(

@@ -134,6 +134,40 @@ class TestTrace:
             validate_trace(truncated)
 
 
+def _renumbered(protocol: str, events) -> ProtocolTrace:
+    """A trace of ``events``, in order, with their steps counted again from 1."""
+    return ProtocolTrace(protocol, None, tuple(
+        TraceEvent(i, e.actor, e.action, e.payload) for i, e in enumerate(events, start=1)
+    ))
+
+
+def _replaced(events, action: str, payload: dict) -> list:
+    return [TraceEvent(e.step, e.actor, e.action, payload) if e.action == action else e for e in events]
+
+
+_TELEPORT_EVENTS = list(run_teleportation(InputQubit(0.6, 0.8), 7).events)
+_SUPERDENSE_EVENTS = list(run_superdense(Message2(1, 0)).events)
+
+
+# (protocol, its events tampered with, the rule that rejects them)
+@pytest.mark.parametrize("protocol, events, rule", [
+    ("teleport", _TELEPORT_EVENTS[1:], "exactly one shared Bell pair"),
+    ("superdense", _TELEPORT_EVENTS[:1] + _SUPERDENSE_EVENTS, "exactly one shared Bell pair"),
+    ("teleport", [e for e in _TELEPORT_EVENTS if e.action != "send-bits"], "exactly one classical message"),
+    ("teleport", _TELEPORT_EVENTS[:4] + _TELEPORT_EVENTS[3:], "exactly one classical message"),
+    ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", {"bits": "12"}), "must be two bits, got '12'"),
+    ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", {}), "must be two bits, got ''"),
+    ("teleport", _replaced(_TELEPORT_EVENTS, "verdict", {"decoded": "10"}), "must record a fidelity"),
+    ("superdense", [e for e in _SUPERDENSE_EVENTS if e.action != "send-qubit"], "exactly one qubit"),
+    ("superdense", _replaced(_SUPERDENSE_EVENTS, "verdict", {"fidelity": 1.0}), "must record the decoded"),
+    ("bogus", _SUPERDENSE_EVENTS, "unknown protocol 'bogus'"),
+], ids=["no-pair", "two-pairs", "no-bits", "two-bits", "bits-12", "bits-missing",
+        "no-fidelity", "no-qubit", "no-decoded", "unknown-protocol"])
+def test_validator_rejects_each_broken_ledger(protocol, events, rule):
+    with pytest.raises(ValidationError, match=rule):
+        validate_trace(_renumbered(protocol, events))
+
+
 def _run_pair(protocol: str, seed: int, host: str = "127.0.0.1", **kwargs):
     """Run bob in a thread and alice in the caller; return both verdicts."""
     ready = threading.Event()
@@ -419,6 +453,27 @@ class TestWireDemo:
         with pytest.raises(ValidationError, match="seed must be an integer"):
             run_wire_demo("alice", "127.0.0.1", 1, "superdense",
                           seed=seed, message=Message2(0, 0), timeout=2.0)
+
+    @pytest.mark.parametrize("role", ["alice", "bob"])
+    def test_unknown_protocol_rejected_before_any_socket(self, role):
+        # alice would be refused on port 1, and bob would wait out his timeout
+        ready: list[int] = []
+        with pytest.raises(ValidationError, match="unknown protocol 'bogus'"):
+            run_wire_demo(role, "127.0.0.1", 1 if role == "alice" else 0, "bogus",
+                          seed=0, ready_callback=ready.append, timeout=0.5)
+        assert ready == []
+
+    def test_bob_on_a_bound_port_cannot_listen(self):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = taken.getsockname()[1]
+            with pytest.raises(TransportError, match=f"cannot listen on 127.0.0.1:{port}: "):
+                run_wire_demo("bob", "127.0.0.1", port, "superdense", message=Message2(0, 0), timeout=0.5)
+
+    def test_bob_without_a_peer_times_out(self):
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="no peer connected: "):
+            run_wire_demo("bob", "127.0.0.1", 0, "superdense", message=Message2(0, 0), timeout=0.2)
+        assert time.monotonic() - start < 2.0
 
     def test_role_and_params_validated(self):
         with pytest.raises(ValidationError):

@@ -8,6 +8,7 @@ print as ``Name(field=value, ...)``; ``StateVector`` and
 
 import copy
 import pickle
+import pickletools
 
 import pytest
 
@@ -15,7 +16,7 @@ from icl_qproto.harness import Message2, ProtocolTrace, TraceEvent
 from icl_qproto.icl import IclClass, IclDiagram, IclKind
 from icl_qproto.measure import ProjectiveBasis
 from icl_qproto.phasespace import BellState, Sector
-from icl_qproto.statevec import StateVector
+from icl_qproto.statevec import StateVector, ValidationError
 from icl_qproto.teleport import BellOutcome, InputQubit
 from icl_qproto.verify import CheckResult
 from oracles import computational_projectors
@@ -27,7 +28,7 @@ RECORDS = {
     "IclDiagram": (lambda: IclDiagram(3, -1), ("chain_length", "phase"), {}),
     "IclClass": (lambda: IclClass(IclKind.PRODUCT), ("kind", "bell", "sector"), {"bell": None, "sector": None}),
     "InputQubit": (lambda: InputQubit(0.6, 0.8j), ("alpha", "beta"), {}),
-    "BellOutcome": (lambda: BellOutcome(BellState.PSI_MINUS), ("tag",), {}),
+    "BellOutcome": (lambda: BellOutcome(BellState.PSI_MINUS, 0.25), ("tag", "probability"), {}),
     "Message2": (lambda: Message2(1, 0), ("b1", "b0"), {}),
     "TraceEvent": (lambda: TraceEvent(4, "alice", "send-bits", {"bits": "10"}), ("step", "actor", "action", "payload"), {}),
     "ProtocolTrace": (lambda: ProtocolTrace("teleport", 7), ("protocol", "seed", "events"), {"events": ()}),
@@ -83,3 +84,27 @@ def test_value_records_differ_when_one_field_does():
     assert Message2(0, 1) != Message2(1, 0)
     assert ProtocolTrace("teleport", 7, events=()) == ProtocolTrace("teleport", 7)
     assert ProtocolTrace("teleport", 7) != ProtocolTrace("teleport", 8)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_no_method_restores_fields_past_the_constructor(name):
+    assert not hasattr(RECORDS[name][0](), "__setstate__")
+
+
+def test_an_edited_pickle_is_checked_when_loaded():
+    data = bytearray(pickle.dumps(Message2(1, 0)))
+    # the one-byte int that holds b1, wherever this protocol puts it
+    pos = next(pos for op, arg, pos in pickletools.genops(data) if op.name == "BININT1" and arg == 1)
+    data[pos + 1] = 7
+    with pytest.raises(ValidationError):
+        pickle.loads(bytes(data))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TraceEvent(4, "alice", "send-bits"), "TraceEvent takes 4 fields, got 3"),
+    (lambda: BellOutcome(BellState.PSI_MINUS), "BellOutcome takes 2 fields, got 1"),
+    (lambda: CheckResult("round-trip", 0.0, 1e-12, "extra"), "CheckResult takes 3 fields, got 4"),
+], ids=["TraceEvent", "BellOutcome", "CheckResult"])
+def test_a_wrong_field_count_is_a_type_error(make, message):
+    with pytest.raises(TypeError, match=message):
+        make()

@@ -156,6 +156,14 @@ class TestBellMeasure:
         with pytest.raises(ValidationError):
             bell_measure(joint, None)
 
+    @pytest.mark.parametrize("forced", [None, *BELL_ORDER], ids=["drawn", *(t.value for t in BELL_ORDER)])
+    def test_probability_is_the_one_the_trace_records(self, forced):
+        u = InputQubit(0.6, 0.8j)
+        joint = tensor(u.state(), BellState.PHI_PLUS.vector())
+        outcome, _ = bell_measure(joint, None if forced else RandomSource(7), forced)
+        step = run_teleportation(u, 7, force_outcome=forced).events[2].payload
+        assert (outcome.tag.value, outcome.probability) == (step["outcome"], step["probability"])
+
     def test_empirical_frequencies(self):
         u = InputQubit(0.6, 0.8)
         joint = tensor(u.state(), BellState.PHI_PLUS.vector())
