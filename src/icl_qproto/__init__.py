@@ -33,12 +33,11 @@ _EXPORTS = {
     ),
     "phasespace": (
         "BELL_ORDER",
+        "DFT4",
         "PAULI_TABLE",
         "BellState",
         "HState",
         "Sector",
-        "contract_bell",
-        "dft4",
         "pair_determinant",
     ),
     "statevec": (

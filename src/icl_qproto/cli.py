@@ -2,8 +2,9 @@
 
 Subcommands: teleport, superdense, bell, icl, verify, wire. Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 I/O or transport
-error. When ``--seed`` is omitted, the ICL_QPROTO_SEED environment
-variable is consulted before falling back to 0.
+error. When ``--seed`` is omitted, teleport and a wire Alice consult the
+ICL_QPROTO_SEED environment variable before falling back to 0; a wire Bob
+adopts Alice's seed and reads neither.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def parse(argv: Sequence[str]) -> argparse.Namespace:
             ns.state = StateVector.from_json(raw)
         except (ValidationError, ValueError) as exc:
             raise UsageError(f"--state: {exc}") from None
-    if ns.command in ("teleport", "wire") and ns.seed is None:
+    if (ns.command == "teleport" or ns.command == "wire" and ns.role == "alice") and ns.seed is None:
         try:
             ns.seed = _seed_value(os.environ.get(SEED_ENV_VAR, "0"))
         except argparse.ArgumentTypeError as exc:

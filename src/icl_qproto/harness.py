@@ -111,9 +111,12 @@ def validate_trace(trace: ProtocolTrace) -> None:
     Teleportation must consume exactly one shared pair and two classical
     bits and reconstruct exactly one qubit (a fidelity verdict);
     superdense coding must consume one shared pair and one qubit
-    transfer and end in a decoded message.
+    transfer and end in a decoded message. Every payload, the verdict's
+    too, must be a dict.
     """
     verdict = trace.verdict
+    if not all(isinstance(e.payload, dict) for e in trace.events):
+        raise ValidationError("every event payload must be a dict")
     if _count(trace, "share-bell-pair") != 1:
         raise ValidationError("trace must consume exactly one shared Bell pair")
     if trace.protocol == "teleport":
@@ -121,7 +124,7 @@ def validate_trace(trace: ProtocolTrace) -> None:
         if len(sends) != 1:
             raise ValidationError("teleportation sends exactly one classical message")
         bits = sends[0].payload.get("bits", "")
-        if len(bits) != 2 or any(c not in "01" for c in bits):
+        if not isinstance(bits, str) or len(bits) != 2 or any(c not in "01" for c in bits):
             raise ValidationError(f"classical message must be two bits, got {bits!r}")
         if "fidelity" not in verdict:
             raise ValidationError("teleportation verdict must record a fidelity")

@@ -150,12 +150,6 @@ class ProjectiveBasis(Record):
             for p in self.projectors
         ))
 
-    def __reduce__(self):  # _terms is derived, so a copy is built, and checked, from the projectors
-        return ProjectiveBasis, (self.projectors,)
-
-    def __repr__(self) -> str:
-        return f"ProjectiveBasis(projectors={self.projectors!r})"
-
     def __iter__(self):
         return iter(self.projectors)
 

@@ -34,16 +34,10 @@ from .statevec import (
 _QUARTER_TURNS = (0.5 + 0j, 0.5j, -0.5 + 0j, complex(0.0, -0.5))
 
 
-def dft4() -> Matrix:
-    """Forward four-point transform: row n is the momentum state k_n = (2*pi/4)*n.
-
-    Entry (n, R) is (1/2) * exp(i k_n R) on site R = 0..3, the basis
-    |00>, |01>, |10>, |11>; the inverse is the conjugate transpose.
-    """
-    return _DFT4
-
-
-_DFT4 = Matrix([[_QUARTER_TURNS[(n * r) % 4] for r in range(4)] for n in range(4)])
+# The forward four-point transform: row n is the momentum state k_n = (2*pi/4)*n.
+# Entry (n, R) is (1/2) * exp(i k_n R) on site R = 0..3, the basis |00>, |01>,
+# |10>, |11>; the inverse is the conjugate transpose.
+DFT4 = Matrix([[_QUARTER_TURNS[(n * r) % 4] for r in range(4)] for n in range(4)])
 
 
 class Sector(Enum):
@@ -116,15 +110,6 @@ _BY_BITS = {tag.bits: tag for tag in BELL_ORDER}  # any nonzero bit reads as 1
 _CANONICAL_BELL = {
     tag: StateVector(2, _hadamard_pair(*tag.sector.basis_indexes)[tag.bits[1]]) for tag in BELL_ORDER
 }
-
-
-def contract_bell(sector: Sector) -> tuple[BellState, BellState]:
-    """Bell pair of one sector: the 2x2 Hadamard applied to its basis pair.
-
-    The even sector gives (phi+, phi-) from {|00>, |11>}; the odd sector
-    gives (psi+, psi-) from {|01>, |10>}, with psi- = (|01> - |10>)/sqrt(2).
-    """
-    return tuple(tag for tag in BELL_ORDER if tag.sector is sector)  # type: ignore[return-value]
 
 
 # The local Pauli on qubit 1 that turns phi+ into each Bell state. It is

@@ -81,7 +81,10 @@ class Record:
     and copies and pickles rebuild a record through its constructor, so
     every record has passed its checks. Records of one class are equal,
     and hash alike, when their fields are, and print as
-    ``Name(field=value, ...)``. Plain slotted classes keep the command
+    ``Name(field=value, ...)``. A slot whose name starts with ``_`` holds
+    a value the constructor derives from the fields: it is stored with
+    them, but equality, hashing, printing and copies leave it out, so a
+    copy derives it again. Plain slotted classes keep the command
     line from loading ``dataclasses`` (and ``inspect``) and from
     generating their methods on every start.
     """
@@ -104,7 +107,7 @@ class Record:
         return type(self), self._values()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -115,7 +118,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
         return f"{type(self).__qualname__}({fields})"
 
 

@@ -48,19 +48,20 @@ UA_BELL_BASIS = BELL_BASIS.tensor_identity()
 class InputQubit(Record):
     """The qubit to teleport: alpha|0> + beta|1>, normalized."""
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = ("alpha", "beta", "_state")
     alpha: complex
     beta: complex
+    _state: StateVector
 
     def __init__(self, alpha: complex, beta: complex):
         try:
-            amps = single_qubit(alpha, beta).amps  # StateVector checks the pair
+            state = single_qubit(alpha, beta)  # StateVector checks the pair
         except OverflowError as exc:  # an int past the float range
             raise ValidationError(f"input qubit amplitude out of range: {exc}") from None
-        super().__init__(*amps)
+        super().__init__(*state.amps, state)
 
     def state(self) -> StateVector:
-        return single_qubit(self.alpha, self.beta)
+        return self._state
 
 
 class BellOutcome(Record):

@@ -76,7 +76,7 @@ _SUPERPOSITIONS = (
 
 
 def _check_phase_space() -> Iterator[CheckResult]:
-    m = phasespace.dft4()
+    m = phasespace.DFT4
     eye = identity(4)
     yield CheckResult("dft4-unitarity", _matrix_deviation(m @ m.dagger(), eye), 1e-12)
     expected = {

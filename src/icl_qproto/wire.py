@@ -24,12 +24,10 @@ answers ``ERR <reason>``, as far as the connection still allows.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, BinaryIO, Callable, NamedTuple
+import socket
+from typing import BinaryIO, Callable, NamedTuple
 
 from .statevec import MAX_SEED, HandshakeError, TransportError, ValidationError, check_seed
-
-if TYPE_CHECKING:
-    import socket
 
 WIRE_VERSION = "v1"
 
@@ -140,8 +138,6 @@ def _bob_session(wire, protocol, input_qubit, message) -> str:
 
 def _converse(sock: socket.socket, timeout: float, session: Callable[..., str], *args) -> str:
     """Run one side's session over a connected socket, then close it."""
-    import socket  # see run_wire_demo
-
     with sock:
         sock.settimeout(timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see module doc
@@ -180,10 +176,6 @@ def run_wire_demo(
         raise ValidationError("teleport demo needs an input qubit")
     if protocol == "superdense" and message is None:
         raise ValidationError("superdense demo needs a message")
-    # Imported here, not with the module: socket (and selectors, which it
-    # loads) costs every CLI process about 5 ms, and only wire uses it.
-    import socket
-
     if role == "alice":
         seed = check_seed(0 if seed is None else seed)  # before a bad seed costs the peer a session
         try:

@@ -12,14 +12,7 @@ import numpy as np
 from icl_qproto.harness import Message2, emit_trace
 from icl_qproto.icl import IclClass, IclDiagram, IclKind, classify, diagram_to_state, extend_sigma_x, state_to_diagram
 from icl_qproto.measure import branch_probabilities
-from icl_qproto.phasespace import (
-    BELL_ORDER,
-    BellState,
-    HState,
-    Sector,
-    contract_bell,
-    dft4,
-)
+from icl_qproto.phasespace import BELL_ORDER, DFT4, BellState, HState, Sector
 from icl_qproto.statevec import (
     SIGMA_X,
     SIGMA_Z,
@@ -47,7 +40,7 @@ def _random_inputs(count: int, seed: int) -> list[InputQubit]:
 
 
 def test_01_dft_unitarity():
-    m = np.asarray(dft4())
+    m = np.asarray(DFT4)
     dev = float(np.max(np.abs(m @ m.conj().T - np.eye(4))))
     _report(1, "dft4-unitarity", dev < 1e-12, f"max dev {dev:.3e}")
 
@@ -55,7 +48,7 @@ def test_01_dft_unitarity():
 def test_02_bell_construction():
     dev = 0.0
     for sector, tags in ((Sector.EVEN, ("phi+", "phi-")), (Sector.ODD, ("psi+", "psi-"))):
-        for member, tag in zip(contract_bell(sector), tags):
+        for member, tag in zip((t for t in BELL_ORDER if t.sector is sector), tags):
             dev = max(dev, float(np.max(np.abs(member.vector().amps - BELL[tag]))))
     vectors = np.array([t.vector().amps for t in BELL_ORDER])
     gram_dev = float(np.max(np.abs(vectors.conj() @ vectors.T - np.eye(4))))

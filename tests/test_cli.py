@@ -152,6 +152,18 @@ class TestParse:
         with pytest.raises(UsageError):
             parse(["teleport", "--alpha", "1,0", "--beta", "0,0"])
 
+    @pytest.mark.parametrize("protocol", [
+        ["--protocol", "teleport", "--alpha", "1,0", "--beta", "0,0"],
+        ["--protocol", "superdense", "--message", "01"],
+    ], ids=["teleport", "superdense"])
+    def test_only_alice_reads_the_seed_variable(self, protocol, monkeypatch):
+        monkeypatch.setenv("ICL_QPROTO_SEED", "abc")
+        bob = ["wire", "--role", "bob", "--endpoint", "h:1", *protocol]
+        assert parse(bob).seed is None  # he adopts alice's seed
+        assert parse([*bob, "--seed", "5"]).seed == 5  # accepted, and unused
+        with pytest.raises(UsageError, match="ICL_QPROTO_SEED: seed must be an integer"):
+            parse(["wire", "--role", "alice", "--endpoint", "h:1", *protocol])
+
     def test_seed_range_enforced(self):
         with pytest.raises(UsageError):
             parse(["teleport", "--alpha", "1,0", "--beta", "0,0", "--seed", "-1"])
@@ -324,6 +336,18 @@ class TestMainExitCodes:
         assert reply == b"ERR non-ascii\n"
         assert codes == [3]
         assert "non-ASCII" in capsys.readouterr().err
+
+    def test_bob_runs_whatever_the_seed_variable_holds(self, monkeypatch, capsys):
+        monkeypatch.setenv("ICL_QPROTO_SEED", "abc")
+        codes: list[int] = []
+        bob, port = _superdense_bob(monkeypatch, codes)
+        alice = main(
+            ["wire", "--role", "alice", "--endpoint", f"127.0.0.1:{port}",
+             "--protocol", "superdense", "--message", "00", "--seed", "7"]
+        )
+        bob.join(10)
+        assert (alice, codes) == (0, [0])
+        assert sorted(capsys.readouterr().out.splitlines()) == ["alice: decoded=00", "bob: decoded=00"]
 
     def test_disagreeing_wire_peers_exit_one(self, monkeypatch, capsys):
         codes: list[int] = []

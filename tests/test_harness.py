@@ -157,12 +157,17 @@ _SUPERDENSE_EVENTS = list(run_superdense(Message2(1, 0)).events)
     ("teleport", _TELEPORT_EVENTS[:4] + _TELEPORT_EVENTS[3:], "exactly one classical message"),
     ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", {"bits": "12"}), "must be two bits, got '12'"),
     ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", {}), "must be two bits, got ''"),
+    ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", {"bits": 11}), "must be two bits, got 11"),
+    ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", {"bits": None}), "must be two bits, got None"),
+    ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", {"bits": ["1", "0"]}), r"must be two bits, got \['1'"),
+    ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", None), "every event payload must be a dict"),
+    ("teleport", _replaced(_TELEPORT_EVENTS, "verdict", ["fidelity"]), "every event payload must be a dict"),
     ("teleport", _replaced(_TELEPORT_EVENTS, "verdict", {"decoded": "10"}), "must record a fidelity"),
     ("superdense", [e for e in _SUPERDENSE_EVENTS if e.action != "send-qubit"], "exactly one qubit"),
     ("superdense", _replaced(_SUPERDENSE_EVENTS, "verdict", {"fidelity": 1.0}), "must record the decoded"),
     ("bogus", _SUPERDENSE_EVENTS, "unknown protocol 'bogus'"),
 ], ids=["no-pair", "two-pairs", "no-bits", "two-bits", "bits-12", "bits-missing",
-        "no-fidelity", "no-qubit", "no-decoded", "unknown-protocol"])
+        "bits-int", "bits-none", "bits-list", "payload-none", "verdict-list", "no-fidelity", "no-qubit", "no-decoded", "unknown-protocol"])
 def test_validator_rejects_each_broken_ledger(protocol, events, rule):
     with pytest.raises(ValidationError, match=rule):
         validate_trace(_renumbered(protocol, events))

@@ -4,11 +4,14 @@ Records are frozen: assigning or deleting a field raises
 ``AttributeError``. Value records compare and hash by their fields and
 print as ``Name(field=value, ...)``; ``StateVector`` and
 ``ProjectiveBasis`` compare by identity. Copies and pickles rebuild them.
+A slot named with a leading ``_`` is derived: the constructor stores it,
+and equality, hashing, printing and pickles leave it out.
 """
 
 import copy
 import pickle
 import pickletools
+import struct
 
 import pytest
 
@@ -21,18 +24,20 @@ from icl_qproto.teleport import BellOutcome, InputQubit
 from icl_qproto.verify import CheckResult
 from oracles import computational_projectors
 
-# name -> (a factory that gives equal records on every call, the fields, the defaults it relies on)
+# name -> (a factory that gives equal records on every call, the fields, the defaults it relies on,
+# the derived slots)
 RECORDS = {
-    "StateVector": (lambda: StateVector(1, (0.6, 0.8j)), ("qubit_count", "amps"), {}),
-    "ProjectiveBasis": (lambda: ProjectiveBasis(computational_projectors(1)), ("projectors",), {}),
-    "IclDiagram": (lambda: IclDiagram(3, -1), ("chain_length", "phase"), {}),
-    "IclClass": (lambda: IclClass(IclKind.PRODUCT), ("kind", "bell", "sector"), {"bell": None, "sector": None}),
-    "InputQubit": (lambda: InputQubit(0.6, 0.8j), ("alpha", "beta"), {}),
-    "BellOutcome": (lambda: BellOutcome(BellState.PSI_MINUS, 0.25), ("tag", "probability"), {}),
-    "Message2": (lambda: Message2(1, 0), ("b1", "b0"), {}),
-    "TraceEvent": (lambda: TraceEvent(4, "alice", "send-bits", {"bits": "10"}), ("step", "actor", "action", "payload"), {}),
-    "ProtocolTrace": (lambda: ProtocolTrace("teleport", 7), ("protocol", "seed", "events"), {"events": ()}),
-    "CheckResult": (lambda: CheckResult("round-trip", 0.0, 1e-12), ("name", "deviation", "bound"), {}),
+    "StateVector": (lambda: StateVector(1, (0.6, 0.8j)), ("qubit_count", "amps"), {}, ()),
+    "ProjectiveBasis": (lambda: ProjectiveBasis(computational_projectors(1)), ("projectors",), {}, ("_terms",)),
+    "IclDiagram": (lambda: IclDiagram(3, -1), ("chain_length", "phase"), {}, ()),
+    "IclClass": (lambda: IclClass(IclKind.PRODUCT), ("kind", "bell", "sector"), {"bell": None, "sector": None}, ()),
+    "InputQubit": (lambda: InputQubit(0.6, 0.8j), ("alpha", "beta"), {}, ("_state",)),
+    "BellOutcome": (lambda: BellOutcome(BellState.PSI_MINUS, 0.25), ("tag", "probability"), {}, ()),
+    "Message2": (lambda: Message2(1, 0), ("b1", "b0"), {}, ()),
+    "TraceEvent": (lambda: TraceEvent(4, "alice", "send-bits", {"bits": "10"}),
+                   ("step", "actor", "action", "payload"), {}, ()),
+    "ProtocolTrace": (lambda: ProtocolTrace("teleport", 7), ("protocol", "seed", "events"), {"events": ()}, ()),
+    "CheckResult": (lambda: CheckResult("round-trip", 0.0, 1e-12), ("name", "deviation", "bound"), {}, ()),
 }
 
 IDENTITY_EQUAL = ("StateVector", "ProjectiveBasis")
@@ -40,10 +45,11 @@ IDENTITY_EQUAL = ("StateVector", "ProjectiveBasis")
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_record_contract(name):
-    make, fields, defaults = RECORDS[name]
+    make, fields, defaults, derived = RECORDS[name]
     a, b = make(), make()
     assert type(a).__name__ == name
-    for field in fields:
+    assert type(a).__slots__ == fields + derived
+    for field in fields + derived:
         value = getattr(a, field)
         with pytest.raises(AttributeError):
             setattr(a, field, value)
@@ -56,9 +62,14 @@ def test_record_contract(name):
         assert getattr(a, field) == value, field
 
     values = tuple(getattr(a, field) for field in fields)
+    assert a.__reduce__() == (type(a), values)  # a pickle carries the fields alone
     for clone in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
         assert type(clone) is type(a) and clone is not a
         assert repr(clone) == repr(a)
+        for slot in derived:  # derived again by the constructor
+            assert getattr(clone, slot) is not getattr(a, slot)
+    for slot in derived:  # so equality and hashing below cannot have compared them
+        assert getattr(a, slot) is not getattr(b, slot)
     if name in IDENTITY_EQUAL:
         assert a == a and a != b and hash(a) != hash(b)
         assert len({a, b}) == 2
@@ -97,6 +108,21 @@ def test_an_edited_pickle_is_checked_when_loaded():
     pos = next(pos for op, arg, pos in pickletools.genops(data) if op.name == "BININT1" and arg == 1)
     data[pos + 1] = 7
     with pytest.raises(ValidationError):
+        pickle.loads(bytes(data))
+
+
+def test_an_input_qubit_keeps_the_state_it_checked():
+    u = InputQubit(0.6, 0.8j)
+    assert u.state() is u.state()
+    assert u.state().amps == (0.6, 0.8j)
+
+
+def test_an_edited_input_qubit_pickle_is_checked_when_loaded():
+    data = bytearray(pickle.dumps(InputQubit(0.6, 0.8j)))
+    # alpha's real part, 0.6 in an eight-byte float, made 0.7: |alpha|^2 + |beta|^2 is no longer 1
+    pos = next(pos for op, arg, pos in pickletools.genops(data) if op.name == "BINFLOAT" and arg == 0.6)
+    data[pos + 1:pos + 9] = struct.pack(">d", 0.7)
+    with pytest.raises(ValidationError, match="not normalized"):
         pickle.loads(bytes(data))
 
 
