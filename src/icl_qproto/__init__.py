@@ -1,9 +1,9 @@
 """Deterministic two-party simulator for Bell-pair protocols.
 
-Builds the Bell basis from a four-point discrete Fourier transform
-contracted onto parity sectors, models entanglement with inverter-chain
-diagrams, and runs quantum teleportation and superdense coding with
-seeded, replayable protocol traces.
+Builds the Bell and H states from rows of a four-point discrete Fourier
+transform restricted to site pairs (parity sectors for Bell states),
+models entanglement with inverter-chain diagrams, and runs quantum
+teleportation and superdense coding with seeded, replayable traces.
 
 Importing the package loads none of its modules: each public name below
 imports its module on first access (PEP 562), so a process compiles only

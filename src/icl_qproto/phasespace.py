@@ -2,25 +2,25 @@
 
 A four-site ring (with periodic closure) carries the two-qubit
 computational basis. The four-point discrete Fourier transform maps the
-site basis to four momentum states; restricting the transform to one of
-the two parity sectors, span{|00>, |11>} or span{|01>, |10>}, turns
-the 4x4 transform into the 2x2 Hadamard and produces the Bell basis.
-Applying the same Hadamard to a mixed-sector pair of site states instead
-yields the six H states, which stay unentangled (their reshaped 2x2
-amplitude matrix has rank 1).
+site basis to four momentum states. A momentum row restricted to the two
+sites of a parity sector, {|00>, |11>} or {|01>, |10>}, and normalized
+is a Bell state: row 0 gives phi+ and psi+, row 2 phi- and psi-. The
+basis uses these two rows, which on a sector form the 2x2 Hadamard; rows
+1 and 3 give (|00> -/+ i|11>)/sqrt(2), entangled but not a Bell state.
+On a mixed-sector pair of sites a row gives one of the six H states,
+which stay unentangled (their reshaped 2x2 amplitude matrix has rank 1).
 
 The transform carries the symmetric 1/sqrt(4) normalization, so it is
-unitary and its conjugate transpose inverts it exactly. The H4/H5 pair
-is normalized with the same 1/sqrt(2) factor as every other Hadamard
-pair.
+unitary. Each vector's first nonzero amplitude is positive, so the -psi-
+that row 2 gives on the odd sector is flipped.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 from .statevec import (
-    HADAMARD,
     IDENTITY2,
     SIGMA_X,
     SIGMA_Z,
@@ -28,6 +28,7 @@ from .statevec import (
     Matrix,
     StateVector,
     ValidationError,
+    _divided,
 )
 
 # exp(i * pi/2 * m) / 2 for m = 0..3, exact in doubles
@@ -51,9 +52,13 @@ class Sector(Enum):
         return (0, 3) if self is Sector.EVEN else (1, 2)
 
 
-def _hadamard_pair(i: int, j: int) -> tuple[list[complex], list[complex]]:
-    """Apply the 2x2 Hadamard to the basis pair (|i>, |j>) of the 4-dim space."""
-    return tuple([hi if k == i else hj if k == j else 0j for k in range(4)] for hi, hj in HADAMARD)
+def _contracted(row: int, i: int, j: int) -> StateVector:
+    """Row ``row`` of ``DFT4`` restricted to sites ``i < j``, normalized, first amplitude positive."""
+    raw = [DFT4[row][r] if r in (i, j) else 0j for r in range(4)]
+    amps = _divided(raw, math.sqrt(abs(raw[i]) ** 2 + abs(raw[j]) ** 2))
+    if amps[i].real < 0:  # 0j - z keeps a +0.0 where unary minus would write -0.0
+        amps = [0j - z for z in amps]
+    return StateVector(2, amps)
 
 
 class BellState(Enum):
@@ -65,30 +70,32 @@ class BellState(Enum):
     PSI_MINUS = "psi-"
 
     @property
+    def bits(self) -> tuple[int, int]:
+        """(b1, b0), this state's index in ``BELL_ORDER`` in binary: b1 the sector, b0 the phase."""
+        return divmod(BELL_ORDER.index(self), 2)
+
+    @property
     def sector(self) -> Sector:
-        return Sector.EVEN if self in (BellState.PHI_PLUS, BellState.PHI_MINUS) else Sector.ODD
+        return Sector.ODD if self.bits[0] else Sector.EVEN
 
     @property
     def phase(self) -> int:
-        return +1 if self in (BellState.PHI_PLUS, BellState.PSI_PLUS) else -1
-
-    @property
-    def bits(self) -> tuple[int, int]:
-        """Two-bit encoding (b1, b0): b1 = sector (0 even, 1 odd), b0 = phase (0 +, 1 -)."""
-        return (0 if self.sector is Sector.EVEN else 1, 0 if self.phase > 0 else 1)
+        return -1 if self.bits[1] else +1
 
     def vector(self) -> StateVector:
         return _CANONICAL_BELL[self]
 
     @classmethod
     def from_sector_phase(cls, sector: Sector, phase: int) -> "BellState":
+        if not isinstance(sector, Sector):
+            raise ValidationError(f"sector must be a Sector, got {sector!r}")
         if isinstance(phase, bool) or not isinstance(phase, int) or phase not in (+1, -1):
             raise ValidationError(f"phase must be the integer +1 or -1, got {phase!r}")
-        return _BY_SECTOR_PHASE[sector, phase]
+        return cls.from_bits(sector is Sector.ODD, phase < 0)
 
     @classmethod
     def from_bits(cls, b1: int, b0: int) -> "BellState":
-        return _BY_BITS[b1 != 0, b0 != 0]
+        return BELL_ORDER[2 * (b1 != 0) + (b0 != 0)]  # any nonzero bit reads as 1
 
     @classmethod
     def from_tag(cls, tag: str) -> "BellState":
@@ -101,15 +108,10 @@ class BellState(Enum):
         return self.value
 
 
-BELL_ORDER = tuple(BellState)  # the enum's definition order: phi+, phi-, psi+, psi-
-_BY_SECTOR_PHASE = {(tag.sector, tag.phase): tag for tag in BELL_ORDER}
-_BY_BITS = {tag.bits: tag for tag in BELL_ORDER}  # any nonzero bit reads as 1
+BELL_ORDER = tuple(BellState)  # the enum's definition order: phi+ (00), phi- (01), psi+ (10), psi- (11)
 
-# the Hadamard on the tag's sector pair, (|00>, |11>) or (|01>, |10>): its + row
-# (phase bit 0) gives phi+ and psi+, its - row (phase bit 1) phi- and psi-
-_CANONICAL_BELL = {
-    tag: StateVector(2, _hadamard_pair(*tag.sector.basis_indexes)[tag.bits[1]]) for tag in BELL_ORDER
-}
+# Bell state b1 b0 is row 2*b0 of DFT4 on sector b1's sites
+_CANONICAL_BELL = {tag: _contracted(2 * tag.bits[1], *tag.sector.basis_indexes) for tag in BELL_ORDER}
 
 
 # The local Pauli on qubit 1 that turns phi+ into each Bell state. It is
@@ -123,11 +125,11 @@ PAULI_TABLE = {
 
 
 class HState(Enum):
-    """The six unentangled Hadamard-pair states.
+    """The six unentangled states that ``DFT4`` gives on mixed-sector site pairs.
 
-    H0/H1 come from the pair (|00>, |10>), H2/H3 from (|00>, |01>), and
-    H4/H5 from (|10>, |11>). Several distinct momentum-pair contractions
-    land on the same H0/H1 vectors; one canonical pair is stored.
+    H0/H1 are rows 0/1 on the sites (|00>, |10>), H2/H3 rows 0/2 on
+    (|00>, |01>), and H4/H5 rows 0/2 on (|10>, |11>). Rows 0 and 2 agree
+    on (|00>, |10>), as do rows 1 and 3, so H0/H1 take rows 0 and 1.
     """
 
     H0 = "h0"
@@ -144,12 +146,9 @@ class HState(Enum):
         return self.value
 
 
-_CANONICAL_H = {
-    member: StateVector(2, amps)
-    for member, amps in zip(
-        HState, (*_hadamard_pair(0, 2), *_hadamard_pair(0, 1), *_hadamard_pair(2, 3))
-    )
-}
+# (row, i, j) per H state, in HState order
+_H_CONTRACTIONS = ((0, 0, 2), (1, 0, 2), (0, 0, 1), (2, 0, 1), (0, 2, 3), (2, 2, 3))
+_CANONICAL_H = {member: _contracted(*rij) for member, rij in zip(HState, _H_CONTRACTIONS)}
 
 
 def pair_determinant(state: StateVector) -> complex:

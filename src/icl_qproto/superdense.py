@@ -34,13 +34,12 @@ def encoding_table() -> dict[Message2, tuple[Matrix, BellState]]:
 
 
 def encode(message: Message2, shared: StateVector | None = None) -> StateVector:
-    """Apply the message's unitary to qubit 1 of the shared phi+ pair."""
+    """Apply the message's unitary to qubit 1 of the shared phi+ pair (the canonical one by default)."""
     if shared is None:
         shared = BellState.PHI_PLUS.vector()
-    if shared.qubit_count != 2 or not shared.isclose(BellState.PHI_PLUS.vector()):
+    elif shared.qubit_count != 2 or not shared.isclose(BellState.PHI_PLUS.vector()):
         raise ResourceError("shared resource must be the canonical phi+ pair")
-    _, unitary = PAULI_TABLE[BellState.from_bits(*message.bits)]
-    return apply_1q(shared, unitary, 1)
+    return apply_1q(shared, PAULI_TABLE[BellState.from_bits(*message.bits)][1], 1)
 
 
 def _bell_branch(state: StateVector) -> tuple[BellState, float]:
@@ -71,8 +70,8 @@ def run_superdense(message: Message2) -> ProtocolTrace:
     trace carries a null seed.
     """
     resource = BellState.PHI_PLUS.vector()
-    unitary_name, unitary = PAULI_TABLE[BellState.from_bits(*message.bits)]
-    encoded = apply_1q(resource, unitary, 1)
+    unitary_name, _ = PAULI_TABLE[BellState.from_bits(*message.bits)]
+    encoded = encode(message)
     outcome, prob = _bell_branch(encoded)
 
     events = (

@@ -98,6 +98,8 @@ def bell_measure(
     ``forced`` is a testing hook that collapses deterministically onto
     the named branch; the production path samples from ``rand``.
     """
+    if forced is not None and not isinstance(forced, BellState):
+        raise ValidationError(f"cannot force outcome {forced!r}: not a BellState")
     if state.qubit_count != 3:
         raise DimensionError("Bell measurement expects the 3-qubit joint state (U, A, B)")
     if forced is not None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from icl_qproto.icl import IclKind, classify
 from icl_qproto.measure import BELL_BASIS, ProjectiveBasis, bell_projectors
 from icl_qproto.phasespace import (
     BELL_ORDER,
@@ -12,7 +13,7 @@ from icl_qproto.phasespace import (
     Sector,
     pair_determinant,
 )
-from icl_qproto.statevec import ValidationError
+from icl_qproto.statevec import StateVector, ValidationError
 from icl_qproto.teleport import UA_BELL_BASIS
 from icl_qproto.verify import _SUPERPOSITIONS
 from oracles import BELL, H_VECTORS
@@ -40,6 +41,48 @@ class TestDft4:
         m = np.asarray(DFT4)
         product = m @ m.conj().T
         assert np.max(np.abs(product - np.eye(4))) < 1e-12
+
+
+def _typed_contraction(row, sites):
+    """Row ``row`` of the hand-typed DFT4 kept on ``sites``, normalized, first nonzero amplitude positive."""
+    v = np.zeros(4, dtype=complex)
+    v[list(sites)] = TYPED_DFT4[row, list(sites)]
+    v /= np.linalg.norm(v)
+    return v if v[sites[0]].real > 0 else -v
+
+
+# tag -> (momentum row, sites): rows 0 and 2 on each sector's pair, rows 0/1 or 0/2 on the H pairs
+_BELL_CONTRACTIONS = {"phi+": (0, (0, 3)), "phi-": (2, (0, 3)), "psi+": (0, (1, 2)), "psi-": (2, (1, 2))}
+_H_CONTRACTIONS = {
+    "h0": (0, (0, 2)), "h1": (1, (0, 2)),
+    "h2": (0, (0, 1)), "h3": (2, (0, 1)),
+    "h4": (0, (2, 3)), "h5": (2, (2, 3)),
+}
+
+
+class TestDft4Construction:
+    """Every canonical vector is a row of the typed DFT4 contracted onto two sites."""
+
+    @pytest.mark.parametrize("tag", list(_BELL_CONTRACTIONS))
+    def test_bell_state_is_a_sector_contraction(self, tag):
+        row, sites = _BELL_CONTRACTIONS[tag]
+        got = BellState.from_tag(tag).vector().amps
+        np.testing.assert_allclose(got, _typed_contraction(row, sites), atol=1e-15)
+
+    @pytest.mark.parametrize("member", list(_H_CONTRACTIONS))
+    def test_h_state_is_a_mixed_pair_contraction(self, member):
+        row, sites = _H_CONTRACTIONS[member]
+        np.testing.assert_allclose(HState(member).vector().amps, _typed_contraction(row, sites), atol=1e-15)
+
+    def test_psi_minus_is_row_two_negated(self):
+        raw = TYPED_DFT4[2, [1, 2]]
+        np.testing.assert_allclose(raw / np.linalg.norm(raw), -np.asarray(BELL["psi-"])[[1, 2]], atol=1e-15)
+
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_odd_rows_on_the_even_sector_are_entangled_but_not_bell(self, row):
+        state = StateVector(2, _typed_contraction(row, (0, 3)))
+        assert classify(state).kind is IclKind.SECTOR_CONFINED
+        assert classify(state).sector is Sector.EVEN
 
 
 class TestContractBell:
@@ -70,6 +113,28 @@ class TestContractBell:
             assert BellState.from_bits(*tag.bits) is tag
         assert BellState.PHI_PLUS.bits == (0, 0)
         assert BellState.PSI_MINUS.bits == (1, 1)
+
+    def test_bits_are_the_index_in_bell_order(self):
+        for index, tag in enumerate(BELL_ORDER):
+            assert tag.bits == (index >> 1, index & 1)
+        # b1 is the sector, b0 the phase
+        assert [(tag.sector, tag.phase) for tag in BELL_ORDER] == [
+            (Sector.EVEN, +1), (Sector.EVEN, -1), (Sector.ODD, +1), (Sector.ODD, -1)
+        ]
+        assert [tag.value for tag in BELL_ORDER] == ["phi+", "phi-", "psi+", "psi-"]
+
+    def test_any_nonzero_bit_reads_as_one(self):
+        assert BellState.from_bits(2, -1) is BellState.PSI_MINUS
+        assert BellState.from_bits(0, True) is BellState.PHI_MINUS
+
+    def test_every_sector_and_phase_round_trips(self):
+        for tag in BELL_ORDER:
+            assert BellState.from_sector_phase(tag.sector, tag.phase) is tag
+
+    def test_sector_lookup_takes_only_a_sector(self):
+        for sector in ("odd", 1, None):
+            with pytest.raises(ValidationError, match="sector"):
+                BellState.from_sector_phase(sector, +1)
 
     def test_sector_phase_lookup_takes_only_the_integers_plus_and_minus_one(self):
         assert BellState.from_sector_phase(Sector.EVEN, +1) is BellState.PHI_PLUS

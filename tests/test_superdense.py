@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from icl_qproto import superdense
 from icl_qproto.harness import Message2, validate_trace
 from icl_qproto.phasespace import BELL_ORDER, BellState
 from icl_qproto.statevec import DimensionError, StateVector, overlap
@@ -56,6 +57,16 @@ class TestEncode:
     def test_rejects_wrong_resource(self):
         with pytest.raises(ResourceError):
             encode(Message2(0, 0), StateVector(2, BELL["psi+"]))
+
+    def test_checks_only_a_resource_the_caller_passes(self, monkeypatch):
+        encoded = [encode(m, StateVector(2, BELL["phi+"])) for m in ALL_MESSAGES]
+        assert [decode(state) for state in encoded] == ALL_MESSAGES
+
+        def no_compare(self, other):
+            raise AssertionError("the canonical pair was compared with itself")
+
+        monkeypatch.setattr(StateVector, "isclose", no_compare)
+        assert [decode(encode(m)) for m in ALL_MESSAGES] == ALL_MESSAGES
 
     def test_encoding_acts_only_on_first_qubit(self):
         # qubit 2's marginal stays (1/2, 1/2) for every message
@@ -120,6 +131,20 @@ class TestRunSuperdense:
             "verdict",
         ]
         validate_trace(trace)
+
+    @pytest.mark.parametrize("message", ALL_MESSAGES, ids=str)
+    def test_run_encodes_through_encode(self, message, monkeypatch):
+        # verify's superdense suite checks encode, so the runs must take the same path
+        calls = []
+
+        def spy(m, shared=None):
+            calls.append((m, shared))
+            return encode(m, shared)
+
+        monkeypatch.setattr(superdense, "encode", spy)
+        trace = run_superdense(message)
+        assert calls == [(message, None)]
+        assert trace.events[1].payload["state"] == encode(message).to_json()
 
     def test_measurement_outcome_certain(self):
         for message in ALL_MESSAGES:

@@ -1,5 +1,7 @@
 """Tests for the teleportation decomposition, measurement, and full runs."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,14 @@ class TestBellMeasure:
         joint = tensor(single_qubit(1, 0), BellState.PHI_PLUS.vector())
         with pytest.raises(ValidationError):
             bell_measure(joint, None)
+
+    @pytest.mark.parametrize("forced", ["phi+", 0, False, "PHI_PLUS"])
+    def test_forced_outcome_that_is_not_a_bell_state_is_named(self, forced):
+        # a tag string or an index is not a BellState; the check runs before any other
+        with pytest.raises(ValidationError, match=re.escape(repr(forced))):
+            run_teleportation(InputQubit(0.6, 0.8), 0, force_outcome=forced)
+        with pytest.raises(ValidationError, match=re.escape(repr(forced))):
+            bell_measure(BellState.PHI_PLUS.vector(), None, forced)  # also before the qubit-count check
 
     @pytest.mark.parametrize("forced", [None, *BELL_ORDER], ids=["drawn", *(t.value for t in BELL_ORDER)])
     def test_probability_is_the_one_the_trace_records(self, forced):
