@@ -15,7 +15,7 @@ import math
 import os
 import re
 import sys
-from typing import Any, Sequence
+from collections.abc import Sequence
 
 # Only what parse() needs is imported here; each command imports the modules
 # it runs, so a process compiles no module its subcommand does not use.
@@ -203,11 +203,11 @@ def parse(argv: Sequence[str]) -> argparse.Namespace:
 # --- command execution -------------------------------------------------------
 
 
-def _print_json(obj: Any) -> None:
+def _print_json(obj: object) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _report(ns: argparse.Namespace, summary: Any, *lines: str) -> None:
+def _report(ns: argparse.Namespace, summary: object, *lines: str) -> None:
     if ns.json:
         _print_json(summary)
     else:
@@ -230,7 +230,7 @@ def _cmd_teleport(ns: argparse.Namespace) -> int:
     u = InputQubit(ns.alpha, ns.beta)
     force = BellState.from_tag(ns.force_outcome) if ns.force_outcome else None
     trace = _validate_and_emit(ns, run_teleportation(u, ns.seed, force_outcome=force))
-    measurement = trace.events[2].payload
+    measurement = trace.payload("bell-measurement")
     summary = {
         "protocol": "teleport",
         "seed": ns.seed,
@@ -248,7 +248,7 @@ def _cmd_superdense(ns: argparse.Namespace) -> int:
     from .superdense import run_superdense
 
     trace = _validate_and_emit(ns, run_superdense(ns.message))
-    encoded = trace.events[1].payload
+    encoded = trace.payload("encode")
     summary = {
         "protocol": "superdense",
         "message": str(ns.message),

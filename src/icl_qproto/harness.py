@@ -2,14 +2,15 @@
 
 A ``ProtocolTrace`` is the replayable record of one protocol run: with
 the same protocol, parameters, and seed, the emitted JSON-lines bytes
-are identical.
+are identical. ``STEPS`` lists each protocol's steps, and ``trace_of``
+builds every trace the package makes from it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, TextIO
+from io import TextIOBase
 
 from .statevec import Record, ValidationError, check_seed
 
@@ -51,7 +52,7 @@ class TraceEvent(Record):
     step: int
     actor: str
     action: str
-    payload: dict[str, Any]
+    payload: dict[str, object]
 
 
 class ProtocolTrace(Record):
@@ -72,18 +73,40 @@ class ProtocolTrace(Record):
         super().__init__(protocol, seed if seed is None else check_seed(seed), events)
 
     @property
-    def verdict(self) -> dict[str, Any]:
+    def verdict(self) -> dict[str, object]:
         """Payload of the final verdict event."""
         if not self.events or self.events[-1].action != "verdict":
             raise ValidationError("trace is not finalized: no verdict event")
         return self.events[-1].payload
+
+    def payload(self, action: str) -> dict[str, object]:
+        """Payload of the first event whose action is ``action``."""
+        for event in self.events:
+            if event.action == action:
+                return event.payload
+        raise ValidationError(f"trace has no {action!r} event")
+
+
+# protocol -> its steps as (actor, action), in the order a run emits them
+STEPS = {
+    "teleport": (("system", "share-bell-pair"), ("alice", "attach-input"), ("alice", "bell-measurement"),
+                 ("alice", "send-bits"), ("bob", "apply-correction"), ("bob", "verdict")),
+    "superdense": (("system", "share-bell-pair"), ("alice", "encode"), ("alice", "send-qubit"),
+                   ("bob", "bell-measurement"), ("bob", "verdict")),
+}
+
+
+def trace_of(protocol: str, seed: int | None, *payloads: dict[str, object]) -> ProtocolTrace:
+    """A run's trace: step i is ``STEPS[protocol][i - 1]`` with payload i; ValueError unless counts match."""
+    steps = enumerate(zip(STEPS[protocol], payloads, strict=True), start=1)
+    return ProtocolTrace(protocol, seed, tuple(TraceEvent(i, *step, data) for i, (step, data) in steps))
 
 
 # json.dumps(record, separators=(",", ":")) builds this encoder anew on every call
 _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def emit_trace(trace: ProtocolTrace, sink: "str | os.PathLike | TextIO") -> None:
+def emit_trace(trace: ProtocolTrace, sink: str | os.PathLike | TextIOBase) -> None:
     """Write a finalized trace as JSON lines: one header, one line per event."""
     trace.verdict  # rejects unfinalized traces
     encode = _LINE_ENCODER.encode
@@ -93,7 +116,7 @@ def emit_trace(trace: ProtocolTrace, sink: "str | os.PathLike | TextIO") -> None
     text = "\n".join(lines) + "\n"
     if isinstance(sink, (str, os.PathLike)):
         try:
-            with open(sink, "w", encoding="ascii") as fh:
+            with open(sink, "w", encoding="ascii", newline="\n") as fh:  # not os.linesep
                 fh.write(text)
         except OSError as exc:
             raise TraceWriteError(f"cannot write trace to {os.fspath(sink)!r}: {exc}") from exc

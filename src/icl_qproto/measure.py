@@ -7,8 +7,8 @@ inspect states, never load this module or its ``RandomSource``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Sequence
 
 from .phasespace import BELL_ORDER
 from .statevec import (

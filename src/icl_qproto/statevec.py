@@ -24,7 +24,7 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+from collections.abc import Sequence
 
 ATOL = 1e-9
 
@@ -226,7 +226,7 @@ class StateVector(Record):
         return cls(n, amps)
 
     @classmethod
-    def from_json(cls, obj: Any) -> "StateVector":
+    def from_json(cls, obj: object) -> "StateVector":
         """Inverse of :meth:`to_json`."""
         try:
             n = obj["n"]

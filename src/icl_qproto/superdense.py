@@ -14,7 +14,7 @@ Bit assignment (mirrors the teleportation outcome encoding):
 
 from __future__ import annotations
 
-from .harness import Message2, ProtocolTrace, TraceEvent
+from .harness import Message2, ProtocolTrace, trace_of
 from .measure import BELL_BASIS, branch_probabilities
 from .phasespace import BELL_ORDER, PAULI_TABLE, BellState
 from .statevec import ATOL, DimensionError, Matrix, StateVector, apply_1q
@@ -64,7 +64,7 @@ def decode(state: StateVector) -> Message2:
 
 
 def run_superdense(message: Message2) -> ProtocolTrace:
-    """Execute the full protocol and return its five-event trace.
+    """Execute the full protocol and return its trace, one event per ``harness.STEPS["superdense"]`` step.
 
     The run is deterministic (no random measurement anywhere), so the
     trace carries a null seed.
@@ -74,16 +74,12 @@ def run_superdense(message: Message2) -> ProtocolTrace:
     encoded = encode(message)
     outcome, prob = _bell_branch(encoded)
 
-    events = (
-        TraceEvent(1, "system", "share-bell-pair",
-                   {"pair": "phi+", "state": resource.to_json()}),
-        TraceEvent(2, "alice", "encode",
-                   {"message": str(message), "unitary": unitary_name,
-                    "state": encoded.to_json()}),
-        TraceEvent(3, "alice", "send-qubit",
-                   {"qubit": 1, "from": "alice", "to": "bob", "marker": "QUBIT-SENT"}),
-        TraceEvent(4, "bob", "bell-measurement",
-                   {"outcome": outcome.value, "probability": prob}),
-        TraceEvent(5, "bob", "verdict", {"decoded": str(Message2(*outcome.bits))}),
+    return trace_of(
+        "superdense", None,
+        {"pair": "phi+", "state": resource.to_json()},
+        {"message": str(message), "unitary": unitary_name,
+         "state": encoded.to_json()},
+        {"qubit": 1, "from": "alice", "to": "bob", "marker": "QUBIT-SENT"},
+        {"outcome": outcome.value, "probability": prob},
+        {"decoded": str(Message2(*outcome.bits))},
     )
-    return ProtocolTrace("superdense", None, events)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .harness import Message2, ProtocolTrace, TraceEvent
+from .harness import Message2, ProtocolTrace, trace_of
 from .measure import BELL_BASIS, RandomSource, _collapse, branch_probabilities, measure_projective
 from .phasespace import BELL_ORDER, PAULI_TABLE, BellState
 from .statevec import (
@@ -132,12 +132,7 @@ def run_teleportation(
     seed: int,
     force_outcome: BellState | None = None,
 ) -> ProtocolTrace:
-    """Execute the full protocol and return its six-event trace.
-
-    The trace records, in order: the shared-pair creation, Alice
-    attaching the input, her Bell measurement, the two classical bits
-    crossing the channel, Bob's correction, and the final fidelity.
-    """
+    """Execute the full protocol and return its trace, one event per ``harness.STEPS["teleport"]`` step."""
     check_seed(seed)  # a forced run draws nothing, but its header must still replay it
     rand = RandomSource(seed) if force_outcome is None else None
     resource = BellState.PHI_PLUS.vector()
@@ -151,17 +146,13 @@ def run_teleportation(
     fidelity = abs(overlap(state, bob_after)) ** 2
     bits = str(Message2(*tag.bits))
 
-    events = (
-        TraceEvent(1, "system", "share-bell-pair",
-                   {"pair": "phi+", "state": resource.to_json()}),
-        TraceEvent(2, "alice", "attach-input",
-                   {"input": state.to_json(), "state": joint.to_json()}),
-        TraceEvent(3, "alice", "bell-measurement",
-                   {"outcome": tag.value, "bits": bits, "probability": outcome.probability}),
-        TraceEvent(4, "alice", "send-bits", {"bits": bits}),
-        TraceEvent(5, "bob", "apply-correction",
-                   {"correction": correction_name,
-                    "before": bob_before.to_json(), "state": bob_after.to_json()}),
-        TraceEvent(6, "bob", "verdict", {"fidelity": fidelity}),
+    return trace_of(
+        "teleport", seed,
+        {"pair": "phi+", "state": resource.to_json()},
+        {"input": state.to_json(), "state": joint.to_json()},
+        {"outcome": tag.value, "bits": bits, "probability": outcome.probability},
+        {"bits": bits},
+        {"correction": correction_name,
+         "before": bob_before.to_json(), "state": bob_after.to_json()},
+        {"fidelity": fidelity},
     )
-    return ProtocolTrace("teleport", seed, events)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Iterator
+from collections.abc import Iterator
 
 # Each suite imports the protocol modules it checks; reading SUITES compiles none.
 from . import phasespace
@@ -28,9 +28,6 @@ from .statevec import (
     tensor,
 )
 
-if TYPE_CHECKING:
-    from .teleport import InputQubit
-
 
 class CheckResult(Record):
     """One check: the worst deviation it measured and the bound it must stay within."""
@@ -47,18 +44,6 @@ class CheckResult(Record):
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{self.name}: {status} (max dev {self.deviation:.3e}, bound {self.bound:.0e})"
-
-
-def _random_inputs(count: int, seed: int = 7) -> list[InputQubit]:
-    from .teleport import InputQubit
-
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        a, b = (complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2))
-        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        out.append(InputQubit(a / norm, b / norm))
-    return out
 
 
 def _matrix_deviation(a: Matrix, b: Matrix) -> float:
@@ -150,7 +135,12 @@ def _check_icl() -> Iterator[CheckResult]:
 def _check_teleport() -> Iterator[CheckResult]:
     from . import teleport
 
-    inputs = _random_inputs(100)
+    rng = random.Random(7)
+    inputs = []
+    for _ in range(100):
+        a, b = (complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2))
+        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        inputs.append(teleport.InputQubit(a / norm, b / norm))
     dev = 0.0
     for u in inputs:
         joint = tensor(u.state(), BellState.PHI_PLUS.vector())

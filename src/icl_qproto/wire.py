@@ -25,7 +25,7 @@ answers ``ERR <reason>``, as far as the connection still allows.
 from __future__ import annotations
 
 import socket
-from typing import BinaryIO, Callable, NamedTuple
+from collections.abc import Callable
 
 from .statevec import MAX_SEED, HandshakeError, TransportError, ValidationError, check_seed
 
@@ -34,19 +34,13 @@ WIRE_VERSION = "v1"
 MAX_LINE_LENGTH = 1024  # bytes, newline included; protocol lines are < 64
 
 
-class _Wire(NamedTuple):
-    """One connection: a buffered reader for lines in, ``sendall`` for lines out."""
-    sock: socket.socket
-    reader: BinaryIO
+def _send_line(sock: socket.socket, line: str) -> None:
+    sock.sendall(line.encode("ascii") + b"\n")
 
 
-def _send_line(wire: _Wire, line: str) -> None:
-    wire.sock.sendall(line.encode("ascii") + b"\n")
-
-
-def _recv_line(wire: _Wire) -> str:
+def _recv_line(reader) -> str:
     try:
-        line = wire.reader.readline(MAX_LINE_LENGTH).decode("ascii")
+        line = reader.readline(MAX_LINE_LENGTH).decode("ascii")
     except UnicodeDecodeError as exc:
         raise TransportError(f"peer sent a non-ASCII byte: {exc}", "non-ascii") from exc
     if line == "":
@@ -60,19 +54,19 @@ def _recv_line(wire: _Wire) -> str:
     return line[:-1]
 
 
-def _reject(wire, reason: str) -> None:
+def _reject(sock: socket.socket, reason: str) -> None:
     """Tell the peer ``ERR <reason>`` if the connection still takes it."""
     try:
-        _send_line(wire, f"ERR {reason}")
+        _send_line(sock, f"ERR {reason}")
     except OSError:
         pass  # the peer is gone; the caller's exception says what went wrong
 
 
-def _bob_recv(wire) -> str:
+def _bob_recv(sock: socket.socket, reader) -> str:
     try:
-        return _recv_line(wire)
+        return _recv_line(reader)
     except TransportError as exc:
-        _reject(wire, exc.reason)
+        _reject(sock, exc.reason)
         raise
 
 
@@ -82,7 +76,7 @@ def _mirror_run(protocol: str, seed: int, input_qubit, message) -> tuple[str, st
         from .teleport import run_teleportation
 
         trace = run_teleportation(input_qubit, seed)
-        bits = next(e.payload["bits"] for e in trace.events if e.action == "send-bits")
+        bits = trace.payload("send-bits")["bits"]
         return f"CC {bits}", f"fidelity={trace.verdict['fidelity']!r}"
     from .superdense import run_superdense
 
@@ -90,49 +84,49 @@ def _mirror_run(protocol: str, seed: int, input_qubit, message) -> tuple[str, st
     return "QUBIT-SENT", f"decoded={trace.verdict['decoded']}"
 
 
-def _alice_session(wire, protocol, seed, input_qubit, message) -> str:
+def _alice_session(sock, reader, protocol, seed, input_qubit, message) -> str:
     hello = f"HELLO {WIRE_VERSION} {seed}"
-    _send_line(wire, hello)
-    echo = _recv_line(wire)
+    _send_line(sock, hello)
+    echo = _recv_line(reader)
     if echo != hello:
         raise HandshakeError(f"peer rejected handshake: {echo!r}")
     payload_line, verdict = _mirror_run(protocol, seed, input_qubit, message)
-    _send_line(wire, payload_line)
-    _send_line(wire, f"DONE {verdict}")
-    peer = _recv_line(wire)
+    _send_line(sock, payload_line)
+    _send_line(sock, f"DONE {verdict}")
+    peer = _recv_line(reader)
     if peer != f"DONE {verdict}":
         raise ValidationError(f"verdicts disagree: sent {verdict!r}, peer said {peer!r}")
     return verdict
 
 
-def _bob_session(wire, protocol, input_qubit, message) -> str:
-    hello = _bob_recv(wire)
+def _bob_session(sock, reader, protocol, input_qubit, message) -> str:
+    hello = _bob_recv(sock, reader)
     parts = hello.split()
     if len(parts) != 3 or parts[0] != "HELLO":
-        _reject(wire, "malformed-handshake")
+        _reject(sock, "malformed-handshake")
         raise HandshakeError(f"malformed handshake line: {hello!r}")
     if parts[1] != WIRE_VERSION:
-        _reject(wire, f"unsupported-version {parts[1]}")
+        _reject(sock, f"unsupported-version {parts[1]}")
         raise HandshakeError(f"unsupported wire version {parts[1]!r}")
     if not (parts[2].isdigit() and int(parts[2]) <= MAX_SEED):
-        _reject(wire, "malformed-seed")
+        _reject(sock, "malformed-seed")
         raise HandshakeError(f"malformed seed in handshake: {parts[2]!r}")
     seed = int(parts[2])
-    _send_line(wire, hello)
+    _send_line(sock, hello)
     payload_line, verdict = _mirror_run(protocol, seed, input_qubit, message)
-    got = _bob_recv(wire)
+    got = _bob_recv(sock, reader)
     if got != payload_line:
-        _reject(wire, "payload-diverged")
+        _reject(sock, "payload-diverged")
         raise ValidationError(
             f"channel payload diverged: got {got!r}, expected {payload_line!r}"
         )
-    peer_done = _bob_recv(wire)
+    peer_done = _bob_recv(sock, reader)
     if peer_done != f"DONE {verdict}":
-        _reject(wire, "verdict-mismatch")
+        _reject(sock, "verdict-mismatch")
         raise ValidationError(
             f"verdicts disagree: computed {verdict!r}, peer said {peer_done!r}"
         )
-    _send_line(wire, f"DONE {verdict}")
+    _send_line(sock, f"DONE {verdict}")
     return verdict
 
 
@@ -143,7 +137,7 @@ def _converse(sock: socket.socket, timeout: float, session: Callable[..., str], 
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see module doc
         with sock.makefile("rb") as reader:
             try:
-                return session(_Wire(sock, reader), *args)
+                return session(sock, reader, *args)
             except OSError as exc:
                 raise TransportError(f"wire failure: {exc}") from exc
 

@@ -7,17 +7,21 @@ import socket
 import statistics
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from icl_qproto import harness
 from icl_qproto.harness import (
+    STEPS,
     Message2,
     ProtocolTrace,
     TraceEvent,
     TraceWriteError,
     emit_trace,
+    trace_of,
     validate_trace,
 )
 from icl_qproto.phasespace import BELL_ORDER
@@ -25,6 +29,8 @@ from icl_qproto.statevec import MAX_SEED, HandshakeError, TransportError, Valida
 from icl_qproto.superdense import run_superdense
 from icl_qproto.teleport import InputQubit, run_teleportation
 from icl_qproto.wire import MAX_LINE_LENGTH, run_wire_demo
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestMessage2:
@@ -125,6 +131,38 @@ class TestTrace:
             sink = io.StringIO()
             emit_trace(trace, sink)
             assert sink.getvalue() == oracle(trace)
+
+    def test_trace_file_lines_end_in_newline_on_every_platform(self, tmp_path, monkeypatch):
+        # text mode writes os.linesep unless told otherwise: emulate a "\r\n" platform
+        def crlf_open(*args, newline="\r\n", **kwargs):
+            return open(*args, newline=newline, **kwargs)
+
+        monkeypatch.setattr(harness, "open", crlf_open, raising=False)
+        emit_trace(run_superdense(Message2(1, 0)), tmp_path / "trace.jsonl")
+        assert (tmp_path / "trace.jsonl").read_bytes() == (GOLDEN / "superdense-10.jsonl").read_bytes()
+
+    def test_every_golden_trace_follows_its_protocols_steps(self):
+        paths = sorted(GOLDEN.glob("*.jsonl"))
+        assert paths
+        for path in paths:
+            header, *records = map(json.loads, path.read_text().splitlines())
+            steps = tuple((r["actor"], r["action"]) for r in records)
+            assert steps == STEPS[header["protocol"]], path.name
+
+    def test_payload_is_read_by_action(self):
+        trace = run_teleportation(InputQubit(0.6, 0.8), 7)
+        for event in trace.events:
+            assert trace.payload(event.action) is event.payload
+        with pytest.raises(ValidationError, match="'no-such-step'"):
+            trace.payload("no-such-step")
+
+    @pytest.mark.parametrize("protocol", sorted(STEPS))
+    def test_builder_takes_one_payload_per_step(self, protocol):
+        count = len(STEPS[protocol])
+        assert [e.step for e in trace_of(protocol, None, *[{}] * count).events] == list(range(1, count + 1))
+        for wrong in (count - 1, count + 1):
+            with pytest.raises(ValueError, match="zip"):
+                trace_of(protocol, None, *[{}] * wrong)
 
     def test_validator_checks_resource_ledger(self):
         trace = run_teleportation(InputQubit(1, 0), 5)

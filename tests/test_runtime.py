@@ -50,7 +50,7 @@ print("ok")
 
 
 # one subcommand and its exit code (or, with no argv, a bare "import icl_qproto"),
-# then the package modules loaded
+# then the package modules loaded; annotations are never evaluated, so none loads typing
 MODULES_CHILD = """
 import contextlib, io, sys
 if sys.argv[2:]:
@@ -59,6 +59,7 @@ if sys.argv[2:]:
         assert main(sys.argv[2:]) == int(sys.argv[1]), sys.argv
 else:
     import icl_qproto
+assert "typing" not in sys.modules, "typing was loaded"
 print(" ".join(sorted(name.split(".")[1] for name in sys.modules if name.startswith("icl_qproto."))))
 """
 
@@ -84,7 +85,8 @@ def test_no_subcommand_imports_numpy():
 def test_no_subcommand_loads_dataclasses_socket_or_pathlib():
     # -S: no site module, so no .pth file imports anything on the package's behalf;
     # socket and selectors are for wire alone, and nothing needs the others
-    child = _child("names-loaded", "dataclasses", "inspect", "socket", "selectors", "pathlib", flags=("-S",))
+    names = ("dataclasses", "inspect", "socket", "selectors", "pathlib", "typing")
+    child = _child("names-loaded", *names, flags=("-S",))
     assert (child.returncode, child.stdout) == (0, "\n"), child.stderr
 
 
@@ -98,7 +100,9 @@ def test_no_subcommand_loads_dataclasses_socket_or_pathlib():
     # port 1 is never listening, so the connection is refused (exit 3); no teleport module loads
     (["wire", "--role", "alice", "--endpoint", "127.0.0.1:1", "--protocol", "superdense", "--message", "01"],
      "cli harness phasespace statevec wire", 3),
-], ids=["import", "bell", "icl", "superdense", "teleport", "verify", "wire-superdense"])
+    (["wire", "--role", "alice", "--endpoint", "127.0.0.1:1", "--protocol", "teleport", "--alpha", "1,0", "--beta", "0,0"],
+     "cli harness measure phasespace statevec teleport wire", 3),
+], ids=["import", "bell", "icl", "superdense", "teleport", "verify", "wire-superdense", "wire-teleport"])
 def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded, code):
     # each module a process imports is compiled from source when no bytecode cache can be written
     child = _child(str(code), *argv, flags=("-S",), script=MODULES_CHILD)
