@@ -27,6 +27,7 @@ _EXPORTS = {
         "BELL_BASIS",
         "ProjectiveBasis",
         "RandomSource",
+        "UA_BELL_BASIS",
         "bell_projectors",
         "branch_probabilities",
         "measure_projective",
@@ -63,7 +64,6 @@ _EXPORTS = {
     "teleport": (
         "BellOutcome",
         "InputQubit",
-        "UA_BELL_BASIS",
         "bell_measure",
         "correction_for",
         "decompose",

@@ -126,13 +126,12 @@ def _wire_arguments(wire: _Parser) -> None:
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The parser; only ``command``'s arguments are built, or all if it names no command."""
+    """The parser: ``command``'s subparser alone if it names one, else all six, for help and errors."""
     parser = _Parser(prog="icl-qproto", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        subparser = sub.add_parser(name, help=help_text)
-        if name == command or command not in _COMMANDS:
-            add_arguments(subparser)
+    for name in (command,) if command in _COMMANDS else _COMMANDS:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -333,7 +332,7 @@ def _cmd_wire(ns: argparse.Namespace) -> int:
 
 
 # command -> (its help line, the function that adds its arguments, its runner). A parser
-# builds only the parsed command's arguments, so no other command compiles verify's suites.
+# builds only the parsed command's subparser, so no other command compiles verify's suites.
 _COMMANDS = {
     "teleport": ("run quantum teleportation", _teleport_arguments, _cmd_teleport),
     "superdense": ("run superdense coding", _superdense_arguments, _cmd_superdense),

@@ -105,7 +105,7 @@ def classify(state: StateVector) -> IclClass:
 
 def diagram_to_state(diagram: IclDiagram) -> StateVector:
     """Canonical Bell vector a diagram stands for (parity + phase only)."""
-    return BellState.from_sector_phase(diagram.sector, diagram.phase).vector()
+    return BellState.from_bits(diagram.chain_length % 2, diagram.phase < 0).vector()
 
 
 def extend_sigma_x(diagram: IclDiagram) -> IclDiagram:

@@ -1,4 +1,8 @@
-"""Projective measurement: checked bases, the Bell basis, seeded sampling.
+"""Bell-basis measurement: the two Bell bases the protocols use, seeded sampling.
+
+Teleportation measures (U, A) of its three-qubit state in
+``UA_BELL_BASIS``; superdense coding measures the received pair in
+``BELL_BASIS``. No other basis can be built.
 
 Only the protocols measure, so ``bell`` and ``icl``, which build and
 inspect states, never load this module or its ``RandomSource``.
@@ -12,7 +16,6 @@ from itertools import accumulate
 
 from .phasespace import BELL_ORDER
 from .statevec import (
-    ATOL,
     IDENTITY2,
     DimensionError,
     Matrix,
@@ -21,7 +24,6 @@ from .statevec import (
     ValidationError,
     _divided,
     check_seed,
-    max_deviation,
 )
 
 
@@ -90,13 +92,16 @@ class RandomSource:
 
 
 class ProjectiveBasis(Record):
-    """Mutually orthogonal projectors that sum to the identity.
+    """One of the two Bell measurement bases, held as its projectors.
 
-    ``ProjectiveBasis(projectors)`` takes any sequence of equal square
-    matrices. They are checked once, here, and held as a tuple of
-    ``Matrix``, so a basis built once can be measured against any number
-    of times without re-checking it. Iterating it yields the projectors.
-    Two bases are equal only if they are the same object.
+    The protocols measure only in the Bell basis, so
+    ``ProjectiveBasis(projectors)`` accepts exactly two tables: the
+    |B><B| projectors of ``BELL_BASIS``, and those of ``UA_BELL_BASIS``
+    (each of the first (x) the 2x2 identity). It converts each projector
+    with ``Matrix``, compares the result entry by entry with the two
+    tables, and holds the table it matches; anything else raises
+    ``ValidationError``. Iterating a basis yields the projectors. Two
+    bases are equal only if they are the same object.
     """
 
     __slots__ = ("projectors", "_terms")
@@ -109,45 +114,12 @@ class ProjectiveBasis(Record):
 
     def __init__(self, projectors: Sequence):
         projectors = tuple(map(Matrix, projectors))
-        self._check(projectors)
-        self._hold(projectors)
-
-    @staticmethod
-    def _check(projectors: tuple[Matrix, ...]) -> None:
-        if not projectors or len({len(p) for p in projectors}) != 1:
-            raise DimensionError("projectors must be square matrices of one size")
-        for i, rows in enumerate(zip(*projectors)):
-            if any(not abs(sum(entries) - (i == j)) <= ATOL for j, entries in enumerate(zip(*rows))):
-                raise ValidationError("projectors do not sum to the identity")
-        zero_row = [0] * len(projectors[0])
-        for a, pa in enumerate(projectors):
-            for b, pb in enumerate(projectors):
-                expected = pa if a == b else [zero_row] * len(zero_row)
-                if not max(map(max_deviation, pa @ pb, expected)) <= ATOL:
-                    raise ValidationError("projectors are not mutually orthogonal idempotents")
-
-    def _hold(self, projectors: tuple[Matrix, ...]) -> None:
-        super().__init__(projectors, tuple(
+        table = next((table for table in _BELL_TABLES if table == projectors), None)
+        if table is None:
+            raise ValidationError("projectors must be the Bell basis, on two qubits or on (U, A) of three")
+        super().__init__(table, tuple(
             tuple((i, j, x) for i, row in enumerate(p) for j, x in enumerate(row) if x)
-            for p in projectors
-        ))
-
-    @classmethod
-    def _unchecked(cls, projectors: tuple[Matrix, ...]) -> "ProjectiveBasis":
-        """A basis of projectors that are known to form one, held without the check."""
-        basis = object.__new__(cls)
-        basis._hold(projectors)
-        return basis
-
-    def tensor_identity(self) -> "ProjectiveBasis":
-        """Each projector (x) the 2x2 identity: this basis, with one more low-order qubit.
-
-        P (x) I is a projector whenever P is, and a product by 1 or 0 is
-        exact, so the result is not checked again.
-        """
-        return ProjectiveBasis._unchecked(tuple(  # Kronecker products, entry by entry
-            tuple.__new__(Matrix, (tuple(x * y for x in row for y in one) for row in p for one in IDENTITY2))
-            for p in self.projectors
+            for p in table
         ))
 
     def __iter__(self):
@@ -184,10 +156,11 @@ def _collapse(state: StateVector, basis: ProjectiveBasis, k: int, probability: f
 def branch_probabilities(
     state: StateVector, projectors: "ProjectiveBasis | Sequence"
 ) -> tuple[float, ...]:
-    """Outcome probabilities ||P_k psi||^2 for a projective resolution.
+    """Outcome probabilities ||P_k psi||^2, in ``BELL_ORDER``, for one of the two Bell bases.
 
-    A plain sequence of projectors is checked as a ``ProjectiveBasis``
-    on every call; a ``ProjectiveBasis`` was checked when it was built.
+    A plain sequence of projectors is matched against the two bases on
+    every call, as ``ProjectiveBasis`` does; a ``ProjectiveBasis`` was
+    matched when it was built.
     """
     return _probabilities(state, projectors)[1]
 
@@ -197,11 +170,12 @@ def measure_projective(
     projectors: "ProjectiveBasis | Sequence",
     rand: RandomSource,
 ) -> tuple[int, StateVector, float]:
-    """Projective measurement: sample an outcome, collapse, renormalize.
+    """Bell-basis measurement: sample an outcome, collapse, renormalize.
 
     Consumes exactly one uniform draw from ``rand``. Returns the outcome
-    index, the collapsed (renormalized) state, and the outcome's exact
-    probability. ``projectors`` are checked as in :func:`branch_probabilities`.
+    index in ``BELL_ORDER``, the collapsed (renormalized) state, and the
+    outcome's exact probability. ``projectors`` are taken as in
+    :func:`branch_probabilities`.
     """
     basis, weights = _probabilities(state, projectors)
     r = rand.uniform()
@@ -212,12 +186,16 @@ def measure_projective(
     return k, _collapse(state, basis, k, weights[k]), weights[k]
 
 
-# |B><B| for each Bell state: constant, so the basis check runs in
-# tests/test_phasespace.py (and verify checks the vectors' orthonormality),
-# not on every import.
-BELL_BASIS = ProjectiveBasis._unchecked(tuple(
+# |B><B| for each Bell state, in BELL_ORDER; tests/test_phasespace.py checks
+# that each table is a projective basis, and verify the vectors' orthonormality
+_BELL_PAIR = tuple(
     Matrix([[x * y.conjugate() for y in tag.vector().amps] for x in tag.vector().amps]) for tag in BELL_ORDER
+)
+# each of those (x) the 2x2 identity, entry by entry: the Bell basis on (U, A) of (U, A, B)
+_BELL_TABLES = (_BELL_PAIR, tuple(
+    Matrix([x * y for x in row for y in one] for row in p for one in IDENTITY2) for p in _BELL_PAIR
 ))
+BELL_BASIS, UA_BELL_BASIS = map(ProjectiveBasis, _BELL_TABLES)
 
 
 def bell_projectors() -> ProjectiveBasis:

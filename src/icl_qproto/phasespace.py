@@ -86,14 +86,6 @@ class BellState(Enum):
         return _CANONICAL_BELL[self]
 
     @classmethod
-    def from_sector_phase(cls, sector: Sector, phase: int) -> "BellState":
-        if not isinstance(sector, Sector):
-            raise ValidationError(f"sector must be a Sector, got {sector!r}")
-        if isinstance(phase, bool) or not isinstance(phase, int) or phase not in (+1, -1):
-            raise ValidationError(f"phase must be the integer +1 or -1, got {phase!r}")
-        return cls.from_bits(sector is Sector.ODD, phase < 0)
-
-    @classmethod
     def from_bits(cls, b1: int, b0: int) -> "BellState":
         return BELL_ORDER[2 * (b1 != 0) + (b0 != 0)]  # any nonzero bit reads as 1
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .harness import Message2, ProtocolTrace, trace_of
-from .measure import BELL_BASIS, RandomSource, _collapse, branch_probabilities, measure_projective
+from .measure import UA_BELL_BASIS, RandomSource, _collapse, branch_probabilities, measure_projective
 from .phasespace import BELL_ORDER, PAULI_TABLE, BellState
 from .statevec import (
     ATOL,
@@ -39,10 +39,6 @@ from .statevec import (
     single_qubit,
     tensor,
 )
-
-
-# Bell projectors on (U, A) extended with identity on B.
-UA_BELL_BASIS = BELL_BASIS.tensor_identity()
 
 
 class InputQubit(Record):

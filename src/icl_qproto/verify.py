@@ -13,7 +13,7 @@ from collections.abc import Iterator
 
 # Each suite imports the protocol modules it checks; reading SUITES compiles none.
 from . import phasespace
-from .measure import BELL_BASIS, branch_probabilities
+from .measure import BELL_BASIS, UA_BELL_BASIS, branch_probabilities
 from .phasespace import BELL_ORDER, BellState, HState
 from .statevec import (
     SIGMA_X,
@@ -154,7 +154,7 @@ def _check_teleport() -> Iterator[CheckResult]:
     dev = 0.0
     for u in inputs[:25]:
         joint = tensor(u.state(), BellState.PHI_PLUS.vector())
-        probs = branch_probabilities(joint, teleport.UA_BELL_BASIS)
+        probs = branch_probabilities(joint, UA_BELL_BASIS)
         dev = max(dev, *(abs(p - 0.25) for p in probs))
     yield CheckResult("branch-probabilities", dev, 1e-12)
 

@@ -1,6 +1,7 @@
 """The wire demo: one protocol run between two processes over TCP, in ASCII lines:
 
-    HELLO v1 <seed>     handshake; the server echoes it back verbatim
+    HELLO v1 <seed>     handshake, single spaces, the seed in canonical decimal;
+                        the server echoes it back verbatim
     CC <b1><b0>         teleportation's two classical bits
     QUBIT-SENT          superdense coding's qubit-transfer marker
     DONE <verdict>      final verdict, sent by both sides and compared
@@ -101,14 +102,14 @@ def _alice_session(sock, reader, protocol, seed, input_qubit, message) -> str:
 
 def _bob_session(sock, reader, protocol, input_qubit, message) -> str:
     hello = _bob_recv(sock, reader)
-    parts = hello.split()
+    parts = hello.split(" ")  # the one form Alice sends: no other whitespace, padding or doubled spaces
     if len(parts) != 3 or parts[0] != "HELLO":
         _reject(sock, "malformed-handshake")
         raise HandshakeError(f"malformed handshake line: {hello!r}")
     if parts[1] != WIRE_VERSION:
         _reject(sock, f"unsupported-version {parts[1]}")
         raise HandshakeError(f"unsupported wire version {parts[1]!r}")
-    if not (parts[2].isdigit() and int(parts[2]) <= MAX_SEED):
+    if not (parts[2].isdigit() and parts[2] == str(int(parts[2])) and int(parts[2]) <= MAX_SEED):
         _reject(sock, "malformed-seed")
         raise HandshakeError(f"malformed seed in handshake: {parts[2]!r}")
     seed = int(parts[2])

@@ -76,15 +76,16 @@ def one_qubit_gate_oracle(amps: np.ndarray, u: np.ndarray, target: int) -> np.nd
     return out
 
 
-def computational_projectors(qubit_count: int) -> list[np.ndarray]:
-    """Rank-1 projectors |k><k| onto every computational basis state, in index order."""
-    dim = 2**qubit_count
-    projectors = []
-    for k in range(dim):
-        p = np.zeros((dim, dim), dtype=complex)
-        p[k, k] = 1
-        projectors.append(p)
-    return projectors
+def assert_projective_basis(projectors) -> None:
+    """Hermitian, mutually orthogonal idempotents that sum to the identity, each within 1e-12."""
+    stack = np.asarray(projectors, dtype=complex)
+    count, dim, _ = stack.shape
+    np.testing.assert_allclose(stack.sum(axis=0), np.eye(dim), atol=1e-12)
+    for a in range(count):
+        np.testing.assert_allclose(stack[a], stack[a].conj().T, atol=1e-12)
+        for b in range(count):
+            expected = stack[a] if a == b else np.zeros((dim, dim))
+            np.testing.assert_allclose(stack[a] @ stack[b], expected, atol=1e-12)
 
 
 def bell_branch_probabilities_oracle(amps8: np.ndarray) -> dict[str, float]:

@@ -8,15 +8,17 @@ import re
 import socket
 import threading
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icl_qproto import phasespace, wire
+from icl_qproto import cli, phasespace, wire
 from icl_qproto.cli import _COMMANDS, UsageError, build_parser, main, parse
 from icl_qproto.harness import Message2
 from icl_qproto.phasespace import HState
+from icl_qproto.statevec import StateVector
 from icl_qproto.verify import SUITES, verify
 
 
@@ -74,6 +76,16 @@ _MAIN_ARGV = st.one_of(
               st.lists(st.sampled_from(["all", "phase-space", "icl", "teleport", "superdense"])
                        | st.text(max_size=6), max_size=1),
               _FLAG),
+).map(lambda parts: [word for part in parts for word in part])
+
+_WIRE_ARGV = st.tuples(
+    st.just(["wire"]),
+    st.lists(st.tuples(st.sampled_from(["--role", "--endpoint", "--protocol", "--alpha", "--beta",
+                                        "--message", "--seed"]),
+                       st.sampled_from(["alice", "bob", "h:1", "[::1]:9", "h:x", "teleport", "superdense",
+                                        "1,0", "0,0", "01", "7"]) | st.text(max_size=6)),
+             max_size=7).map(lambda pairs: [word for pair in pairs for word in pair]),
+    _FLAG,
 ).map(lambda parts: [word for part in parts for word in part])
 
 
@@ -215,6 +227,29 @@ class TestParse:
             assert exc.code == 0
             return
         assert isinstance(result, argparse.Namespace)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_MAIN_ARGV | _WIRE_ARGV | st.lists(st.text(max_size=12), max_size=6))
+    @example([])
+    @example(["--help"])
+    @example(["entangle-everything", "--json"])
+    @example(["verify", "bogus"])
+    @example(["teleport", "--alpha", "1,0", "--beta", "0,0", "bell"])
+    @example(["wire", "--role", "bob", "--endpoint", "h:70000", "--protocol", "superdense", "--message", "01"])
+    def test_one_commands_parser_parses_as_the_full_parser(self, argv):
+        """``build_parser(argv[0])`` and ``build_parser(None)`` agree on the namespace or the error."""
+        outcomes = []
+        for parser_for in (build_parser, lambda _: build_parser(None)):
+            with mock.patch.object(cli, "build_parser", parser_for), \
+                    contextlib.redirect_stdout(io.StringIO()) as out:
+                try:
+                    ns = vars(parse(argv))
+                    outcomes.append({k: v.amps if isinstance(v, StateVector) else v for k, v in ns.items()})
+                except UsageError as exc:
+                    outcomes.append(("usage", str(exc)))
+                except SystemExit as exc:  # --help
+                    outcomes.append(("exit", exc.code, out.getvalue()))
+        assert outcomes[0] == outcomes[1]
 
 
 def _superdense_bob(monkeypatch, codes: list[int]) -> tuple[threading.Thread, int]:

@@ -254,12 +254,13 @@ def _run_pair(protocol: str, seed: int, host: str = "127.0.0.1", **kwargs):
     return status, verdicts
 
 
-def _raw_peer_to_bob(*chunks: "str | bytes", bob_timeout: float = 10.0):
+def _raw_peer_to_bob(*chunks: "str | bytes", bob_timeout: float = 10.0, received: list | None = None):
     """Send raw bytes to a teleport bob; return his last reply line and his errors.
 
     Each chunk after the first is sent once bob has answered the one before.
     After the last chunk the peer closes its sending side, so bob reads to
-    the end of the stream instead of waiting out his timeout.
+    the end of the stream instead of waiting out his timeout. ``received``,
+    if given, is extended with every line bob sent, as bytes.
     """
     ready = threading.Event()
     ports: list[int] = []
@@ -295,6 +296,8 @@ def _raw_peer_to_bob(*chunks: "str | bytes", bob_timeout: float = 10.0):
         except ConnectionResetError:  # bob closed with our bytes unread
             pass
     reply = lines[-1].decode("ascii").strip()
+    if received is not None:
+        received.extend(lines[1:])
     thread.join(10)
     assert not thread.is_alive(), "bob never finished"
     return reply, errors
@@ -444,6 +447,20 @@ class TestWireDemo:
     def test_out_of_range_seed_rejected(self, seed):
         reply, errors = _raw_peer_to_bob(f"HELLO v1 {seed}\n")
         assert reply == "ERR malformed-seed"
+        assert len(errors) == 1 and isinstance(errors[0], HandshakeError)
+
+    @pytest.mark.parametrize("hello, reason", [
+        ("HELLO\tv1\t7", "malformed-handshake"),
+        ("HELLO\x1fv1\x1f7", "malformed-handshake"),
+        ("  HELLO v1 7  ", "malformed-handshake"),
+        ("HELLO  v1 7", "malformed-handshake"),
+        ("HELLO v1 7\r", "malformed-seed"),
+        ("HELLO v1 007", "malformed-seed"),
+    ], ids=["tabs", "unit-separators", "padded", "double-spaced", "carriage-return", "leading-zeros"])
+    def test_only_alices_handshake_form_is_accepted(self, hello, reason):
+        received: list[bytes] = []
+        _, errors = _raw_peer_to_bob(hello + "\n", received=received)
+        assert received == [f"ERR {reason}\n".encode("ascii")]  # and no echo
         assert len(errors) == 1 and isinstance(errors[0], HandshakeError)
 
     def test_overlong_line_is_transport_error(self):

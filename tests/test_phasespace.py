@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from icl_qproto.icl import IclKind, classify
-from icl_qproto.measure import BELL_BASIS, ProjectiveBasis, bell_projectors
+from icl_qproto.measure import BELL_BASIS, UA_BELL_BASIS, ProjectiveBasis, bell_projectors
 from icl_qproto.phasespace import (
     BELL_ORDER,
     DFT4,
@@ -13,17 +13,16 @@ from icl_qproto.phasespace import (
     Sector,
     pair_determinant,
 )
-from icl_qproto.statevec import StateVector, ValidationError
-from icl_qproto.teleport import UA_BELL_BASIS
+from icl_qproto.statevec import StateVector
 from icl_qproto.verify import _SUPERPOSITIONS
-from oracles import BELL, H_VECTORS
+from oracles import BELL, H_VECTORS, assert_projective_basis
 from oracles import DFT4 as TYPED_DFT4
 
 
 @pytest.mark.parametrize("basis", [BELL_BASIS, UA_BELL_BASIS], ids=["bell", "ua-bell"])
-def test_unchecked_bell_bases_pass_the_basis_check(basis):
-    # both are built without ProjectiveBasis's check; this is where it runs
-    ProjectiveBasis._check(basis.projectors)
+def test_bell_bases_are_projective_bases(basis):
+    # the package matches projectors against these two tables and never checks the tables; this does
+    assert_projective_basis(basis.projectors)
     assert ProjectiveBasis(basis.projectors)._terms == basis._terms
 
 
@@ -128,21 +127,9 @@ class TestContractBell:
         assert BellState.from_bits(0, True) is BellState.PHI_MINUS
 
     def test_every_sector_and_phase_round_trips(self):
+        # the map icl.diagram_to_state takes: odd sector -> b1, phase -1 -> b0
         for tag in BELL_ORDER:
-            assert BellState.from_sector_phase(tag.sector, tag.phase) is tag
-
-    def test_sector_lookup_takes_only_a_sector(self):
-        for sector in ("odd", 1, None):
-            with pytest.raises(ValidationError, match="sector"):
-                BellState.from_sector_phase(sector, +1)
-
-    def test_sector_phase_lookup_takes_only_the_integers_plus_and_minus_one(self):
-        assert BellState.from_sector_phase(Sector.EVEN, +1) is BellState.PHI_PLUS
-        assert BellState.from_sector_phase(Sector.ODD, -1) is BellState.PSI_MINUS
-        # True == 1 and -1.0 == -1 hash alike, so a dict lookup alone would take them
-        for phase in (True, -1.0):
-            with pytest.raises(ValidationError, match="phase"):
-                BellState.from_sector_phase(Sector.EVEN, phase)
+            assert BellState.from_bits(tag.sector is Sector.ODD, tag.phase < 0) is tag
 
     def test_projectors_in_order(self):
         for projector, (tag, vec) in zip(bell_projectors(), BELL.items()):

@@ -8,7 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icl_qproto.harness import Message2
-from icl_qproto.measure import ProjectiveBasis, RandomSource, branch_probabilities, measure_projective
+from icl_qproto.measure import (
+    BELL_BASIS,
+    UA_BELL_BASIS,
+    ProjectiveBasis,
+    RandomSource,
+    bell_projectors,
+    branch_probabilities,
+    measure_projective,
+)
 from icl_qproto.phasespace import BELL_ORDER, PAULI_TABLE
 from icl_qproto.statevec import (
     ATOL,
@@ -31,7 +39,6 @@ from icl_qproto.teleport import InputQubit, run_teleportation
 from oracles import (
     BELL,
     bell_branch_probabilities_oracle,
-    computational_projectors,
     kron_oracle,
     one_qubit_gate_oracle,
     random_state,
@@ -266,12 +273,12 @@ class TestGlobalPhase:
 
 class TestMeasureProjective:
     def test_eigenstate_is_certain(self):
-        outcome, collapsed, prob = measure_projective(
-            basis_state(1, 1), computational_projectors(1), RandomSource(0)
-        )
-        assert outcome == 1
-        assert prob == pytest.approx(1.0, abs=1e-12)
-        assert collapsed.isclose(basis_state(1, 1))
+        for k, vec in enumerate(BELL.values()):
+            state = StateVector(2, vec)
+            outcome, collapsed, prob = measure_projective(state, BELL_BASIS, RandomSource(0))
+            assert outcome == k
+            assert prob == pytest.approx(1.0, abs=1e-12)
+            assert collapsed.isclose(state)
 
     def test_bell_projectors_on_joint_input_quarter_each(self):
         rng = np.random.default_rng(3)
@@ -310,14 +317,12 @@ class TestMeasureProjective:
 
     def test_probabilities_sum_to_one_and_collapse_normalized(self):
         rng = np.random.default_rng(17)
-        for n in (1, 2, 3):
-            state = StateVector(n, random_state(rng, 2**n))
-            probs = branch_probabilities(state, computational_projectors(n))
-            assert abs(np.sum(probs) - 1.0) < ATOL
-            _, collapsed, _ = measure_projective(
-                state, computational_projectors(n), RandomSource(4)
-            )
-            assert abs(np.linalg.norm(collapsed.amps) - 1.0) < ATOL
+        for n, basis in ((2, BELL_BASIS), (3, UA_BELL_BASIS)):
+            for state in _states(rng, n):
+                probs = branch_probabilities(state, basis)
+                assert abs(np.sum(probs) - 1.0) < ATOL
+                _, collapsed, _ = measure_projective(state, basis, RandomSource(4))
+                assert abs(np.linalg.norm(collapsed.amps) - 1.0) < ATOL
 
     def test_branch_choice_is_searchsorted_on_the_cumsum(self):
         class Fixed:
@@ -332,17 +337,20 @@ class TestMeasureProjective:
             return k if probs[k] > 0.0 else int(np.argmax(probs))
 
         rng = np.random.default_rng(37)
+        # Bell states give three zero-width branches and probabilities that sum below 1
         states = [StateVector(2, np.array([0.6, 0, 0.8, 0])),
                   StateVector(2, np.array([0, 0.6, 0.8, 0])),
-                  StateVector(2, np.array([1.0 - ATOL / 4, 0, 0, 0])),  # probabilities sum below 1
+                  StateVector(2, np.array([1.0 - ATOL / 4, 0, 0, 0])),
+                  *(StateVector(2, vec) for vec in BELL.values()),
                   *(StateVector(2, random_state(rng, 4)) for _ in range(5))]
-        projectors = computational_projectors(2)
-        for state in states:
-            probs = branch_probabilities(state, projectors)
+        cases = [(state, BELL_BASIS) for state in states]
+        cases += [(state, UA_BELL_BASIS) for state in _states(rng, 3)]
+        for state, basis in cases:
+            probs = branch_probabilities(state, basis)
             edges = np.cumsum(probs)
             rs = [0.0, 0.5, 1.0 - 2**-53, *edges, *np.nextafter(edges, 0), *np.nextafter(edges, 1)]
             for r in rs:
-                k, _, prob = measure_projective(state, projectors, Fixed(float(r)))
+                k, _, prob = measure_projective(state, basis, Fixed(float(r)))
                 assert k == reference(probs, r), (state, r)
                 assert prob == probs[k]
 
@@ -352,84 +360,104 @@ class TestMeasureProjective:
         runs = []
         for _ in range(2):
             rand = RandomSource(99)
-            runs.append(
-                [
-                    measure_projective(state, computational_projectors(2), rand)[0]
-                    for _ in range(20)
-                ]
-            )
+            runs.append([measure_projective(state, BELL_BASIS, rand)[0] for _ in range(20)])
         assert runs[0] == runs[1]
+        assert len(set(runs[0])) > 1  # a generic state, so the draws do pick different branches
 
 
 @pytest.fixture
-def basis_checks(monkeypatch):
-    """Count how many times a ``ProjectiveBasis`` is built (and so checked)."""
+def bases_built(monkeypatch):
+    """Count how many times a ``ProjectiveBasis`` is built (and so matched against the Bell bases)."""
     built = [0]
-    check = ProjectiveBasis._check
+    init = ProjectiveBasis.__init__
 
-    def counting(projectors):
+    def counting(self, projectors):
         built[0] += 1
-        check(projectors)
+        init(self, projectors)
 
-    monkeypatch.setattr(ProjectiveBasis, "_check", staticmethod(counting))
+    monkeypatch.setattr(ProjectiveBasis, "__init__", counting)
     return built
+
+
+# the call bench/layers.py makes: the Bell projectors (x) the identity, through numpy
+BENCH_UA_TUPLE = tuple(np.kron(p, IDENTITY2) for p in bell_projectors())
 
 
 class TestProjectiveBasis:
     @pytest.mark.parametrize(
-        "projectors",
-        [[np.eye(2), np.eye(4)], [np.ones((2, 3))], [np.array([1.0, 0.0])], []],
+        "projectors, error",
+        [([np.eye(2), np.eye(4)], ValidationError), ([np.ones((2, 3))], DimensionError),
+         ([np.array([1.0, 0.0])], DimensionError), ([], ValidationError)],
         ids=["ragged", "non-square", "vectors", "empty"],
     )
-    def test_rejects_wrong_shape_when_built(self, projectors):
-        with pytest.raises(DimensionError):
+    def test_rejects_wrong_shape_when_built(self, projectors, error):
+        with pytest.raises(error):
             ProjectiveBasis(projectors)
 
+    @pytest.mark.parametrize("projectors", [
+        [np.diag(e).astype(complex) for e in np.eye(4)],  # a projective basis, but not the Bell one
+        [np.diag(e).astype(complex) for e in np.eye(8)],
+        [np.diag([1.0, 0.0]), np.diag([1.0, 0.0])],
+        BELL_BASIS.projectors[::-1],  # out of BELL_ORDER
+        BELL_BASIS.projectors[:3],
+        [*BELL_BASIS.projectors, np.zeros((4, 4))],
+        [np.where(p == 0, 0, np.nextafter(np.real(p), 1)) for p in BELL_BASIS.projectors],  # one ulp off
+        [np.kron(IDENTITY2, p) for p in BELL_BASIS.projectors],  # the identity on the wrong qubit
+    ], ids=["computational-2q", "computational-3q", "p0-p0", "reversed", "three", "five", "ulp", "i-kron-bell"])
+    def test_accepts_only_the_two_bell_bases(self, projectors):
+        with pytest.raises(ValidationError, match="Bell basis"):
+            ProjectiveBasis(projectors)
+
+    @pytest.mark.parametrize("basis", [BELL_BASIS, UA_BELL_BASIS], ids=["bell", "ua-bell"])
+    def test_holds_the_table_it_matches(self, basis):
+        rebuilt = ProjectiveBasis([np.asarray(p) for p in basis])
+        assert rebuilt is not basis and rebuilt.projectors is basis.projectors
+        assert rebuilt._terms == basis._terms
+
     def test_dimension_must_match_the_state(self):
-        basis = ProjectiveBasis(computational_projectors(1))
-        with pytest.raises(DimensionError):
-            branch_probabilities(basis_state(2, 0), basis)
-        with pytest.raises(DimensionError):
-            measure_projective(basis_state(2, 0), basis, RandomSource(0))
+        for basis, state in ((BELL_BASIS, basis_state(3, 0)), (BELL_BASIS, basis_state(1, 0)),
+                             (UA_BELL_BASIS, basis_state(2, 0))):
+            with pytest.raises(DimensionError):
+                branch_probabilities(state, basis)
+            with pytest.raises(DimensionError):
+                measure_projective(state, basis, RandomSource(0))
 
     def test_stack_is_read_only_and_detached(self):
-        projectors = [np.asarray(p) for p in computational_projectors(2)]
+        projectors = [np.asarray(p) for p in BELL_BASIS]
         basis = ProjectiveBasis(projectors)
         projectors[0][0, 0] = 7.0
-        assert basis.projectors[0][0][0] == 1.0
+        assert basis.projectors[0][0][0] == BELL_BASIS.projectors[0][0][0] != 7.0
         with pytest.raises(TypeError):
             basis.projectors[0][0][0] = 7.0
         assert np.shape(basis.projectors) == (4, 4, 4)
 
     def test_same_results_as_a_plain_sequence(self):
+        # bench/layers.py measures against BENCH_UA_TUPLE: it must give UA_BELL_BASIS's bits
         rng = np.random.default_rng(11)
-        state = StateVector(3, random_state(rng, 8))
-        projectors = computational_projectors(3)
-        basis = ProjectiveBasis(projectors)
-        np.testing.assert_array_equal(
-            branch_probabilities(state, basis), branch_probabilities(state, projectors)
-        )
-        k1, c1, p1 = measure_projective(state, basis, RandomSource(5))
-        k2, c2, p2 = measure_projective(state, projectors, RandomSource(5))
-        assert (k1, p1) == (k2, p2)
-        np.testing.assert_array_equal(c1.amps, c2.amps)
+        for state in _states(rng, 3):
+            assert branch_probabilities(state, BENCH_UA_TUPLE) == branch_probabilities(state, UA_BELL_BASIS)
+            for seed in (0, 5):
+                k1, c1, p1 = measure_projective(state, UA_BELL_BASIS, RandomSource(seed))
+                k2, c2, p2 = measure_projective(state, BENCH_UA_TUPLE, RandomSource(seed))
+                assert (k1, p1) == (k2, p2)
+                assert c1.amps == c2.amps
 
-    def test_checked_once_not_per_call(self, basis_checks):
-        basis = ProjectiveBasis(computational_projectors(2))
+    def test_checked_once_not_per_call(self, bases_built):
+        basis = ProjectiveBasis(BELL_BASIS.projectors)
         for _ in range(3):
             branch_probabilities(basis_state(2, 1), basis)
             measure_projective(basis_state(2, 1), basis, RandomSource(0))
-        assert basis_checks[0] == 1
-        branch_probabilities(basis_state(2, 1), computational_projectors(2))
-        assert basis_checks[0] == 2  # a plain sequence is checked on every call
+        assert bases_built[0] == 1
+        branch_probabilities(basis_state(3, 1), BENCH_UA_TUPLE)
+        assert bases_built[0] == 2  # a plain sequence is matched on every call
 
-    def test_protocol_runs_build_no_basis(self, basis_checks):
+    def test_protocol_runs_build_no_basis(self, bases_built):
         u = InputQubit(0.6, 0.8)
         run_teleportation(u, 7)
         for tag in BELL_ORDER:
             run_teleportation(u, 0, force_outcome=tag)
             run_superdense(Message2(*tag.bits))
-        assert basis_checks[0] == 0
+        assert bases_built[0] == 0
 
 
 class TestRandomSource:
