@@ -25,7 +25,6 @@ _EXPORTS = {
     ),
     "measure": (
         "BELL_BASIS",
-        "ProjectiveBasis",
         "RandomSource",
         "UA_BELL_BASIS",
         "bell_projectors",
@@ -43,7 +42,6 @@ _EXPORTS = {
     ),
     "statevec": (
         "ATOL",
-        "HADAMARD",
         "IDENTITY2",
         "SIGMA_X",
         "SIGMA_Z",

@@ -2,7 +2,9 @@
 
 Teleportation measures (U, A) of its three-qubit state in
 ``UA_BELL_BASIS``; superdense coding measures the received pair in
-``BELL_BASIS``. No other basis can be built.
+``BELL_BASIS``. Both are plain tuples of ``Matrix`` projectors, and the
+register size picks which one a measurement uses; no other basis is
+accepted.
 
 Only the protocols measure, so ``bell`` and ``icl``, which build and
 inspect states, never load this module or its ``RandomSource``.
@@ -19,7 +21,6 @@ from .statevec import (
     IDENTITY2,
     DimensionError,
     Matrix,
-    Record,
     StateVector,
     ValidationError,
     _divided,
@@ -91,83 +92,47 @@ class RandomSource:
         return f"RandomSource(seed={self.seed})"
 
 
-class ProjectiveBasis(Record):
-    """One of the two Bell measurement bases, held as its projectors.
-
-    The protocols measure only in the Bell basis, so
-    ``ProjectiveBasis(projectors)`` accepts exactly two tables: the
-    |B><B| projectors of ``BELL_BASIS``, and those of ``UA_BELL_BASIS``
-    (each of the first (x) the 2x2 identity). It converts each projector
-    with ``Matrix``, compares the result entry by entry with the two
-    tables, and holds the table it matches; anything else raises
-    ``ValidationError``. Iterating a basis yields the projectors. Two
-    bases are equal only if they are the same object.
-    """
-
-    __slots__ = ("projectors", "_terms")
-    projectors: tuple[Matrix, ...]
-    # per projector, its nonzero entries (i, j, p) in row-major order
-    _terms: tuple[tuple[tuple[int, int, complex], ...], ...]
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, projectors: Sequence):
-        projectors = tuple(map(Matrix, projectors))
-        table = next((table for table in _BELL_TABLES if table == projectors), None)
-        if table is None:
-            raise ValidationError("projectors must be the Bell basis, on two qubits or on (U, A) of three")
-        super().__init__(table, tuple(
-            tuple((i, j, x) for i, row in enumerate(p) for j, x in enumerate(row) if x)
-            for p in table
-        ))
-
-    def __iter__(self):
-        return iter(self.projectors)
-
-
-def _probabilities(
-    state: StateVector, projectors: "ProjectiveBasis | Sequence"
-) -> tuple[ProjectiveBasis, tuple[float, ...]]:
-    basis = projectors if isinstance(projectors, ProjectiveBasis) else ProjectiveBasis(projectors)
-    amps = state.amps
-    if len(basis.projectors[0]) != len(amps):
-        raise DimensionError(
-            f"projectors must be {len(amps)}x{len(amps)} matrices, got {len(basis.projectors[0])}"
-        )
-    conj = [z.conjugate() for z in amps]
-    probs = []
-    for terms in basis._terms:
-        total = 0j  # <psi|P|psi>, summed in (i, j) order; the zero entries add nothing
-        for i, j, p in terms:
-            total += conj[i] * p * amps[j]
-        probs.append(max(total.real, 0.0))
-    return basis, tuple(probs)
-
-
-def _collapse(state: StateVector, basis: ProjectiveBasis, k: int, probability: float) -> StateVector:
+def _collapse(state: StateVector, k: int, probability: float) -> StateVector:
     """The state after outcome ``k`` of probability ``probability``: P_k psi / sqrt(p)."""
     projected = [0j] * len(state.amps)
-    for i, j, p in basis._terms[k]:
+    for i, j, p in _BASES[state.qubit_count][1][k]:
         projected[i] += p * state.amps[j]
     return StateVector(state.qubit_count, _divided(projected, math.sqrt(probability)))
 
 
 def branch_probabilities(
-    state: StateVector, projectors: "ProjectiveBasis | Sequence"
+    state: StateVector, projectors: Sequence
 ) -> tuple[float, ...]:
-    """Outcome probabilities ||P_k psi||^2, in ``BELL_ORDER``, for one of the two Bell bases.
+    """Outcome probabilities ||P_k psi||^2, in ``BELL_ORDER``, in the Bell basis of ``state``'s register.
 
-    A plain sequence of projectors is matched against the two bases on
-    every call, as ``ProjectiveBasis`` does; a ``ProjectiveBasis`` was
-    matched when it was built.
+    ``projectors`` must be that basis: ``BELL_BASIS`` for two qubits,
+    ``UA_BELL_BASIS`` for three. Any other sequence is converted with
+    ``Matrix`` and compared entry by entry with the two tables on every
+    call; a different table raises ``ValidationError``, the other
+    register's table ``DimensionError``.
     """
-    return _probabilities(state, projectors)[1]
+    table, terms = _BASES.get(state.qubit_count, (None, None))
+    if projectors is not table:
+        projectors = tuple(map(Matrix, projectors))
+        if projectors != table:
+            if projectors not in (BELL_BASIS, UA_BELL_BASIS):
+                raise ValidationError("projectors must be the Bell basis, on two qubits or on (U, A) of three")
+            n = len(state.amps)
+            raise DimensionError(f"projectors must be {n}x{n} matrices, got {len(projectors[0])}")
+    amps = state.amps
+    conj = [z.conjugate() for z in amps]
+    probs = []
+    for nonzero in terms:
+        total = 0j  # <psi|P|psi>, summed in (i, j) order; the zero entries add nothing
+        for i, j, p in nonzero:
+            total += conj[i] * p * amps[j]
+        probs.append(max(total.real, 0.0))
+    return tuple(probs)
 
 
 def measure_projective(
     state: StateVector,
-    projectors: "ProjectiveBasis | Sequence",
+    projectors: Sequence,
     rand: RandomSource,
 ) -> tuple[int, StateVector, float]:
     """Bell-basis measurement: sample an outcome, collapse, renormalize.
@@ -177,27 +142,31 @@ def measure_projective(
     outcome's exact probability. ``projectors`` are taken as in
     :func:`branch_probabilities`.
     """
-    basis, weights = _probabilities(state, projectors)
+    weights = branch_probabilities(state, projectors)
     r = rand.uniform()
     # the first branch whose running total exceeds r, or the last if rounding leaves r above all
     k = next((i for i, total in enumerate(accumulate(weights)) if total > r), len(weights) - 1)
     if weights[k] <= 0.0:  # float-boundary landing on a zero-width branch
         k = weights.index(max(weights))
-    return k, _collapse(state, basis, k, weights[k]), weights[k]
+    return k, _collapse(state, k, weights[k]), weights[k]
 
 
 # |B><B| for each Bell state, in BELL_ORDER; tests/test_phasespace.py checks
 # that each table is a projective basis, and verify the vectors' orthonormality
-_BELL_PAIR = tuple(
+BELL_BASIS = tuple(
     Matrix([[x * y.conjugate() for y in tag.vector().amps] for x in tag.vector().amps]) for tag in BELL_ORDER
 )
 # each of those (x) the 2x2 identity, entry by entry: the Bell basis on (U, A) of (U, A, B)
-_BELL_TABLES = (_BELL_PAIR, tuple(
-    Matrix([x * y for x in row for y in one] for row in p for one in IDENTITY2) for p in _BELL_PAIR
-))
-BELL_BASIS, UA_BELL_BASIS = map(ProjectiveBasis, _BELL_TABLES)
+UA_BELL_BASIS = tuple(
+    Matrix([x * y for x in row for y in one] for row in p for one in IDENTITY2) for p in BELL_BASIS
+)
+# register size -> its Bell table, and per projector its nonzero entries (i, j, p) in row-major order
+_BASES = {
+    n: (table, tuple(tuple((i, j, x) for i, row in enumerate(p) for j, x in enumerate(row) if x) for p in table))
+    for n, table in ((2, BELL_BASIS), (3, UA_BELL_BASIS))
+}
 
 
-def bell_projectors() -> ProjectiveBasis:
+def bell_projectors() -> tuple[Matrix, ...]:
     """Rank-1 projectors onto the Bell states, in ``BELL_ORDER``."""
     return BELL_BASIS

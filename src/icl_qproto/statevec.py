@@ -160,11 +160,9 @@ def identity(dim: int) -> Matrix:
     return Matrix([[i == j for j in range(dim)] for i in range(dim)])
 
 
-_H = 1 / math.sqrt(2)
 IDENTITY2 = identity(2)
 SIGMA_X = Matrix([[0, 1], [1, 0]])
 SIGMA_Z = Matrix([[1, 0], [0, -1]])
-HADAMARD = Matrix([[_H, _H], [_H, -_H]])
 
 
 def _divided(amps: Sequence[complex], d: float) -> tuple[complex, ...]:

@@ -103,7 +103,7 @@ def bell_measure(
         prob = float(branch_probabilities(state, UA_BELL_BASIS)[k])
         if prob <= ATOL:
             raise ValidationError(f"cannot force outcome {forced}: branch probability {prob!r}")
-        return BellOutcome(forced, prob), _collapse(state, UA_BELL_BASIS, k, prob)
+        return BellOutcome(forced, prob), _collapse(state, k, prob)
     if rand is None:
         raise ValidationError("a RandomSource is required when no outcome is forced")
     k, collapsed, prob = measure_projective(state, UA_BELL_BASIS, rand)

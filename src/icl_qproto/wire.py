@@ -16,16 +16,20 @@ reads. With Nagle's algorithm on, the second write waits for the ACK of
 the first, and Bob, who has nothing to send yet, delays that ACK for
 about 40 ms. Both sockets therefore set ``TCP_NODELAY``, so a loopback
 session costs its compute, not a delayed-ACK timer. Lines are read
-through one binary reader, which keeps lines that arrived together, with
-a length bound (``MAX_LINE_LENGTH``) so a peer cannot grow memory by
-never sending a newline. Whatever Bob rejects (a bad handshake, an
-over-long or non-ASCII line, a diverged payload or verdict), he first
-answers ``ERR <reason>``, as far as the connection still allows.
+straight from the socket, keeping lines that arrived together, with a
+length bound (``MAX_LINE_LENGTH``) so a peer cannot grow memory by never
+sending a newline. A session has one deadline, ``timeout`` after it
+starts: each blocking read or write waits only for the time left, so a
+peer that trickles bytes cannot hold a side longer. Whatever Bob rejects
+(a bad handshake, an over-long or non-ASCII line, a diverged payload or
+verdict), he first answers ``ERR <reason>``, as far as the connection
+still allows.
 """
 
 from __future__ import annotations
 
 import socket
+import time
 from collections.abc import Callable
 
 from .statevec import MAX_SEED, HandshakeError, TransportError, ValidationError, check_seed
@@ -35,39 +39,62 @@ WIRE_VERSION = "v1"
 MAX_LINE_LENGTH = 1024  # bytes, newline included; protocol lines are < 64
 
 
-def _send_line(sock: socket.socket, line: str) -> None:
-    sock.sendall(line.encode("ascii") + b"\n")
+class _Lines:
+    """ASCII lines over a connected socket, every blocking call bounded by one session deadline."""
+
+    def __init__(self, sock: socket.socket, timeout: float):
+        self.sock = sock
+        self.deadline = time.monotonic() + timeout
+        self.buffer = b""  # bytes received past the last line returned
+
+    def _wait(self) -> None:
+        left = self.deadline - time.monotonic()
+        if left <= 0:  # settimeout refuses a negative value, and 0 would not block at all
+            raise TimeoutError("timed out")
+        self.sock.settimeout(left)
+
+    def send(self, line: str) -> None:
+        self._wait()
+        self.sock.sendall(line.encode("ascii") + b"\n")
+
+    def recv(self) -> str:
+        """The next line without its newline: at most ``MAX_LINE_LENGTH`` bytes, newline included."""
+        while len(self.buffer) < MAX_LINE_LENGTH and b"\n" not in self.buffer:
+            self._wait()
+            chunk = self.sock.recv(MAX_LINE_LENGTH)
+            if not chunk:  # the peer closed: what is left is the last line, whole or not
+                break
+            self.buffer += chunk
+        end = self.buffer.find(b"\n", 0, MAX_LINE_LENGTH) + 1 or MAX_LINE_LENGTH
+        raw, self.buffer = self.buffer[:end], self.buffer[end:]
+        try:
+            line = raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise TransportError(f"peer sent a non-ASCII byte: {exc}", "non-ascii") from exc
+        if line == "":
+            raise TransportError("connection closed by peer", "closed")
+        if not line.endswith("\n"):
+            if len(line) == MAX_LINE_LENGTH:
+                raise TransportError(
+                    f"peer line longer than {MAX_LINE_LENGTH} characters", "line-too-long"
+                )
+            raise TransportError("connection closed by peer mid-line", "closed")
+        return line[:-1]
 
 
-def _recv_line(reader) -> str:
-    try:
-        line = reader.readline(MAX_LINE_LENGTH).decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise TransportError(f"peer sent a non-ASCII byte: {exc}", "non-ascii") from exc
-    if line == "":
-        raise TransportError("connection closed by peer", "closed")
-    if not line.endswith("\n"):
-        if len(line) == MAX_LINE_LENGTH:
-            raise TransportError(
-                f"peer line longer than {MAX_LINE_LENGTH} characters", "line-too-long"
-            )
-        raise TransportError("connection closed by peer mid-line", "closed")
-    return line[:-1]
-
-
-def _reject(sock: socket.socket, reason: str) -> None:
+def _reject(lines: _Lines, reason: str) -> None:
     """Tell the peer ``ERR <reason>`` if the connection still takes it."""
     try:
-        _send_line(sock, f"ERR {reason}")
+        lines.send(f"ERR {reason}")
     except OSError:
         pass  # the peer is gone; the caller's exception says what went wrong
 
 
-def _bob_recv(sock: socket.socket, reader) -> str:
+def _bob_recv(lines: _Lines) -> str:
     try:
-        return _recv_line(reader)
+        return lines.recv()
     except TransportError as exc:
-        _reject(sock, exc.reason)
+        _reject(lines, exc.reason)
         raise
 
 
@@ -85,62 +112,60 @@ def _mirror_run(protocol: str, seed: int, input_qubit, message) -> tuple[str, st
     return "QUBIT-SENT", f"decoded={trace.verdict['decoded']}"
 
 
-def _alice_session(sock, reader, protocol, seed, input_qubit, message) -> str:
+def _alice_session(lines, protocol, seed, input_qubit, message) -> str:
     hello = f"HELLO {WIRE_VERSION} {seed}"
-    _send_line(sock, hello)
-    echo = _recv_line(reader)
+    lines.send(hello)
+    echo = lines.recv()
     if echo != hello:
         raise HandshakeError(f"peer rejected handshake: {echo!r}")
     payload_line, verdict = _mirror_run(protocol, seed, input_qubit, message)
-    _send_line(sock, payload_line)
-    _send_line(sock, f"DONE {verdict}")
-    peer = _recv_line(reader)
+    lines.send(payload_line)
+    lines.send(f"DONE {verdict}")
+    peer = lines.recv()
     if peer != f"DONE {verdict}":
         raise ValidationError(f"verdicts disagree: sent {verdict!r}, peer said {peer!r}")
     return verdict
 
 
-def _bob_session(sock, reader, protocol, input_qubit, message) -> str:
-    hello = _bob_recv(sock, reader)
+def _bob_session(lines, protocol, input_qubit, message) -> str:
+    hello = _bob_recv(lines)
     parts = hello.split(" ")  # the one form Alice sends: no other whitespace, padding or doubled spaces
     if len(parts) != 3 or parts[0] != "HELLO":
-        _reject(sock, "malformed-handshake")
+        _reject(lines, "malformed-handshake")
         raise HandshakeError(f"malformed handshake line: {hello!r}")
     if parts[1] != WIRE_VERSION:
-        _reject(sock, f"unsupported-version {parts[1]}")
+        _reject(lines, f"unsupported-version {parts[1]}")
         raise HandshakeError(f"unsupported wire version {parts[1]!r}")
     if not (parts[2].isdigit() and parts[2] == str(int(parts[2])) and int(parts[2]) <= MAX_SEED):
-        _reject(sock, "malformed-seed")
+        _reject(lines, "malformed-seed")
         raise HandshakeError(f"malformed seed in handshake: {parts[2]!r}")
     seed = int(parts[2])
-    _send_line(sock, hello)
+    lines.send(hello)
     payload_line, verdict = _mirror_run(protocol, seed, input_qubit, message)
-    got = _bob_recv(sock, reader)
+    got = _bob_recv(lines)
     if got != payload_line:
-        _reject(sock, "payload-diverged")
+        _reject(lines, "payload-diverged")
         raise ValidationError(
             f"channel payload diverged: got {got!r}, expected {payload_line!r}"
         )
-    peer_done = _bob_recv(sock, reader)
+    peer_done = _bob_recv(lines)
     if peer_done != f"DONE {verdict}":
-        _reject(sock, "verdict-mismatch")
+        _reject(lines, "verdict-mismatch")
         raise ValidationError(
             f"verdicts disagree: computed {verdict!r}, peer said {peer_done!r}"
         )
-    _send_line(sock, f"DONE {verdict}")
+    lines.send(f"DONE {verdict}")
     return verdict
 
 
 def _converse(sock: socket.socket, timeout: float, session: Callable[..., str], *args) -> str:
     """Run one side's session over a connected socket, then close it."""
     with sock:
-        sock.settimeout(timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see module doc
-        with sock.makefile("rb") as reader:
-            try:
-                return session(sock, reader, *args)
-            except OSError as exc:
-                raise TransportError(f"wire failure: {exc}") from exc
+        try:
+            return session(_Lines(sock, timeout), *args)
+        except OSError as exc:
+            raise TransportError(f"wire failure: {exc}") from exc
 
 
 def run_wire_demo(

@@ -7,6 +7,7 @@ import json
 import re
 import socket
 import threading
+import time
 import warnings
 from unittest import mock
 
@@ -252,7 +253,7 @@ class TestParse:
         assert outcomes[0] == outcomes[1]
 
 
-def _superdense_bob(monkeypatch, codes: list[int]) -> tuple[threading.Thread, int]:
+def _superdense_bob(monkeypatch, codes: list[int], timeout: float = 5.0) -> tuple[threading.Thread, int]:
     """Start ``main`` as a superdense bob (message 00) on a free loopback port, in a thread.
 
     Returns the thread and the port; bob's exit code is appended to ``codes``.
@@ -263,7 +264,7 @@ def _superdense_bob(monkeypatch, codes: list[int]) -> tuple[threading.Thread, in
 
     def reporting_port(*args, **kwargs):
         kwargs["ready_callback"] = lambda p: (ports.append(p), ready.set())
-        return run_wire_demo(*args, timeout=5.0, **kwargs)
+        return run_wire_demo(*args, timeout=timeout, **kwargs)
 
     monkeypatch.setattr(wire, "run_wire_demo", reporting_port)
     bob = threading.Thread(target=lambda: codes.append(main(
@@ -371,6 +372,39 @@ class TestMainExitCodes:
         assert reply == b"ERR non-ascii\n"
         assert codes == [3]
         assert "non-ASCII" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["bob", "alice"])
+    def test_a_trickling_peer_is_three_at_the_deadline(self, role, monkeypatch, capsys):
+        # a valid superdense session, one byte every 0.1 s: each far inside the 0.5 s timeout, 3 s in all
+        codes: list[int] = []
+        if role == "bob":
+            data = b"HELLO v1 7\nQUBIT-SENT\nDONE decoded=00\n"
+            side, port = _superdense_bob(monkeypatch, codes, timeout=0.5)
+            conn = socket.create_connection(("127.0.0.1", port), timeout=10)
+        else:
+            data = b"HELLO v1 7\nDONE decoded=00\n"
+            run_wire_demo = wire.run_wire_demo
+            monkeypatch.setattr(wire, "run_wire_demo", lambda *a, **kw: run_wire_demo(*a, timeout=0.5, **kw))
+            with socket.create_server(("127.0.0.1", 0)) as listener:
+                listener.settimeout(10)
+                side = threading.Thread(target=lambda: codes.append(main(
+                    ["wire", "--role", "alice", "--endpoint", f"127.0.0.1:{listener.getsockname()[1]}",
+                     "--protocol", "superdense", "--message", "00", "--seed", "7"]
+                )))
+                side.start()
+                conn, _ = listener.accept()
+        with conn:
+            start = time.monotonic()
+            for byte in data:
+                if not side.is_alive():
+                    break
+                with contextlib.suppress(OSError):  # main closed its end
+                    conn.sendall(bytes([byte]))
+                time.sleep(0.1)
+            side.join(10)
+        assert time.monotonic() - start < 0.5 + 1.0
+        assert codes == [3]
+        assert capsys.readouterr().err == "error: wire failure: timed out\n"
 
     def test_bob_runs_whatever_the_seed_variable_holds(self, monkeypatch, capsys):
         monkeypatch.setenv("ICL_QPROTO_SEED", "abc")

@@ -347,6 +347,64 @@ def _raw_peer_to_alice(data: bytes, alice_timeout: float = 10.0):
     return hello, outcome[0]
 
 
+def _trickle(sock: socket.socket, data: bytes, done) -> None:
+    """Send ``data`` one byte every 0.1 s, until all is sent, ``done()`` is true or a send fails."""
+    for byte in data:
+        if done():
+            return
+        try:
+            sock.sendall(bytes([byte]))
+        except OSError:  # the side under test closed
+            return
+        time.sleep(0.1)
+
+
+def _trickling_peer(role: str, data: bytes, timeout: float):
+    """Run a teleport ``role`` (seed 7) against a peer that trickles ``data`` to it.
+
+    Returns the seconds from the connection to the end of the run, what the
+    run ended in (its status or the exception it raised), and every byte
+    the peer received.
+    """
+    ended: list = []
+    ports: list[int] = []
+    ready = threading.Event()
+
+    def run():
+        try:
+            ended.append(run_wire_demo(
+                role, "127.0.0.1", ports[0] if ports else 0, "teleport", seed=7, input_qubit=InputQubit(1, 0),
+                ready_callback=lambda p: (ports.append(p), ready.set()), timeout=timeout,
+            ))
+        except BaseException as exc:  # surfaced by the caller
+            ended.append(exc)
+        ended.append(time.monotonic())
+
+    thread = threading.Thread(target=run)
+    if role == "alice":
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(10)
+            ports.append(listener.getsockname()[1])
+            thread.start()
+            conn, _ = listener.accept()
+    else:
+        thread.start()
+        assert ready.wait(10)
+        conn = socket.create_connection(("127.0.0.1", ports[0]), timeout=10)
+    received = b""
+    with conn:
+        start = time.monotonic()
+        _trickle(conn, data, lambda: not thread.is_alive())
+        thread.join(10)
+        assert not thread.is_alive(), f"{role} never finished"
+        try:
+            while chunk := conn.recv(4096):
+                received += chunk
+        except ConnectionResetError:  # it closed with our bytes unread
+            pass
+    return ended[1] - start, ended[0], received
+
+
 _BOB_RUN = run_teleportation(InputQubit(1, 0), 7)  # what _raw_peer_to_bob's bob computes
 _VALID_SESSION = (
     f"HELLO v1 7\nCC {_BOB_RUN.events[3].payload['bits']}\n"
@@ -396,6 +454,14 @@ class TestWireDemo:
             assert outcome == (0, [f"fidelity={_BOB_RUN.verdict['fidelity']!r}"]), outcome
         else:
             assert isinstance(outcome, (HandshakeError, TransportError, ValidationError)), outcome
+
+    @pytest.mark.parametrize("role, data", [("bob", _VALID_SESSION), ("alice", _ALICE_REPLY)], ids=["bob", "alice"])
+    def test_a_trickling_peer_is_cut_off_at_the_session_deadline(self, role, data):
+        # each byte comes far inside the timeout, but the whole session would take over 3 s
+        elapsed, outcome, received = _trickling_peer(role, data, timeout=0.5)
+        assert isinstance(outcome, TransportError) and str(outcome) == "wire failure: timed out", outcome
+        assert elapsed < 0.5 + 1.0
+        assert b"ERR" not in received  # a timeout ends the session without an ERR line
 
     def test_teleport_verdicts_match_in_process(self):
         u = InputQubit(0.6, 0.8)

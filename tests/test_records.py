@@ -2,8 +2,8 @@
 
 Records are frozen: assigning or deleting a field raises
 ``AttributeError``. Value records compare and hash by their fields and
-print as ``Name(field=value, ...)``; ``StateVector`` and
-``ProjectiveBasis`` compare by identity. Copies and pickles rebuild them.
+print as ``Name(field=value, ...)``; ``StateVector`` compares by
+identity. Copies and pickles rebuild them.
 A slot named with a leading ``_`` is derived: the constructor stores it,
 and equality, hashing, printing and pickles leave it out.
 """
@@ -17,7 +17,6 @@ import pytest
 
 from icl_qproto.harness import Message2, ProtocolTrace, TraceEvent
 from icl_qproto.icl import IclClass, IclDiagram, IclKind
-from icl_qproto.measure import BELL_BASIS, ProjectiveBasis
 from icl_qproto.phasespace import BellState, Sector
 from icl_qproto.statevec import StateVector, ValidationError
 from icl_qproto.teleport import BellOutcome, InputQubit
@@ -27,7 +26,6 @@ from icl_qproto.verify import CheckResult
 # the derived slots)
 RECORDS = {
     "StateVector": (lambda: StateVector(1, (0.6, 0.8j)), ("qubit_count", "amps"), {}, ()),
-    "ProjectiveBasis": (lambda: ProjectiveBasis(BELL_BASIS.projectors), ("projectors",), {}, ("_terms",)),
     "IclDiagram": (lambda: IclDiagram(3, -1), ("chain_length", "phase"), {}, ()),
     "IclClass": (lambda: IclClass(IclKind.PRODUCT), ("kind", "bell", "sector"), {"bell": None, "sector": None}, ()),
     "InputQubit": (lambda: InputQubit(0.6, 0.8j), ("alpha", "beta"), {}, ("_state",)),
@@ -39,7 +37,7 @@ RECORDS = {
     "CheckResult": (lambda: CheckResult("round-trip", 0.0, 1e-12), ("name", "deviation", "bound"), {}, ()),
 }
 
-IDENTITY_EQUAL = ("StateVector", "ProjectiveBasis")
+IDENTITY_EQUAL = ("StateVector",)
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -108,17 +106,6 @@ def test_an_edited_pickle_is_checked_when_loaded():
     data[pos + 1] = 7
     with pytest.raises(ValidationError):
         pickle.loads(bytes(data))
-
-
-def test_an_edited_bell_basis_pickle_is_checked_when_loaded():
-    data = bytearray(pickle.dumps(BELL_BASIS))
-    # the real part of phi+'s first entry, 0.4999999999999999, made 0.5: no longer the Bell table
-    pos = next(pos for op, arg, pos in pickletools.genops(data)
-               if op.name == "BINFLOAT" and arg == 0.4999999999999999)
-    data[pos + 1:pos + 9] = struct.pack(">d", 0.5)
-    with pytest.raises(ValidationError, match="Bell basis"):
-        pickle.loads(bytes(data))
-    assert pickle.loads(pickle.dumps(BELL_BASIS)).projectors is BELL_BASIS.projectors
 
 
 def test_an_input_qubit_keeps_the_state_it_checked():

@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icl_qproto.harness import Message2
+from icl_qproto import measure
 from icl_qproto.measure import (
     BELL_BASIS,
     UA_BELL_BASIS,
-    ProjectiveBasis,
     RandomSource,
     bell_projectors,
     branch_probabilities,
@@ -20,11 +20,11 @@ from icl_qproto.measure import (
 from icl_qproto.phasespace import BELL_ORDER, PAULI_TABLE
 from icl_qproto.statevec import (
     ATOL,
-    HADAMARD,
     IDENTITY2,
     SIGMA_X,
     SIGMA_Z,
     DimensionError,
+    Matrix,
     StateVector,
     ValidationError,
     apply_1q,
@@ -36,6 +36,7 @@ from icl_qproto.statevec import (
 )
 from icl_qproto.superdense import run_superdense
 from icl_qproto.teleport import InputQubit, run_teleportation
+from icl_qproto.verify import verify
 from oracles import (
     BELL,
     bell_branch_probabilities_oracle,
@@ -219,7 +220,7 @@ class TestApply1q:
                         one_qubit_gate_oracle(state.amps, u, target), rtol=0, atol=ATOL)
 
     def test_involutions(self):
-        for gate in (SIGMA_X, SIGMA_Z, HADAMARD):
+        for gate in (SIGMA_X, SIGMA_Z):
             np.testing.assert_allclose(gate @ gate, IDENTITY2, atol=1e-15)
 
     def test_norm_preserved_under_random_unitaries(self):
@@ -305,7 +306,7 @@ class TestMeasureProjective:
         with pytest.raises(ValidationError):
             measure_projective(basis_state(1, 0), [p0, p0], RandomSource(0))
         with pytest.raises(ValidationError):
-            ProjectiveBasis([p0, p0])
+            branch_probabilities(basis_state(2, 0), [p0, p0])
 
     def test_rejects_non_orthogonal(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
@@ -313,7 +314,7 @@ class TestMeasureProjective:
         with pytest.raises(ValidationError):
             measure_projective(basis_state(1, 0), [p0, plus], RandomSource(0))
         with pytest.raises(ValidationError):
-            ProjectiveBasis([p0, plus])
+            branch_probabilities(basis_state(2, 0), [p0, plus])
 
     def test_probabilities_sum_to_one_and_collapse_normalized(self):
         rng = np.random.default_rng(17)
@@ -366,24 +367,26 @@ class TestMeasureProjective:
 
 
 @pytest.fixture
-def bases_built(monkeypatch):
-    """Count how many times a ``ProjectiveBasis`` is built (and so matched against the Bell bases)."""
-    built = [0]
-    init = ProjectiveBasis.__init__
+def conversions(monkeypatch):
+    """Count the projectors ``measure`` converts with ``Matrix`` (and so compares with the Bell tables)."""
+    converted = [0]
 
-    def counting(self, projectors):
-        built[0] += 1
-        init(self, projectors)
+    def counting(rows):
+        converted[0] += 1
+        return Matrix(rows)
 
-    monkeypatch.setattr(ProjectiveBasis, "__init__", counting)
-    return built
+    monkeypatch.setattr(measure, "Matrix", counting)
+    return converted
 
 
 # the call bench/layers.py makes: the Bell projectors (x) the identity, through numpy
 BENCH_UA_TUPLE = tuple(np.kron(p, IDENTITY2) for p in bell_projectors())
+TABLES = ((BELL_BASIS, 2), (UA_BELL_BASIS, 3))
 
 
 class TestProjectiveBasis:
+    """The projectors ``branch_probabilities`` and ``measure_projective`` take: the register's Bell table."""
+
     @pytest.mark.parametrize(
         "projectors, error",
         [([np.eye(2), np.eye(4)], ValidationError), ([np.ones((2, 3))], DimensionError),
@@ -391,73 +394,93 @@ class TestProjectiveBasis:
         ids=["ragged", "non-square", "vectors", "empty"],
     )
     def test_rejects_wrong_shape_when_built(self, projectors, error):
-        with pytest.raises(error):
-            ProjectiveBasis(projectors)
+        for n in (1, 2, 3):
+            with pytest.raises(error):
+                branch_probabilities(basis_state(n, 0), projectors)
+            with pytest.raises(error):
+                measure_projective(basis_state(n, 0), projectors, RandomSource(0))
 
     @pytest.mark.parametrize("projectors", [
         [np.diag(e).astype(complex) for e in np.eye(4)],  # a projective basis, but not the Bell one
         [np.diag(e).astype(complex) for e in np.eye(8)],
         [np.diag([1.0, 0.0]), np.diag([1.0, 0.0])],
-        BELL_BASIS.projectors[::-1],  # out of BELL_ORDER
-        BELL_BASIS.projectors[:3],
-        [*BELL_BASIS.projectors, np.zeros((4, 4))],
-        [np.where(p == 0, 0, np.nextafter(np.real(p), 1)) for p in BELL_BASIS.projectors],  # one ulp off
-        [np.kron(IDENTITY2, p) for p in BELL_BASIS.projectors],  # the identity on the wrong qubit
+        BELL_BASIS[::-1],  # out of BELL_ORDER
+        BELL_BASIS[:3],
+        [*BELL_BASIS, np.zeros((4, 4))],
+        [np.where(p == 0, 0, np.nextafter(np.real(p), 1)) for p in BELL_BASIS],  # one ulp off
+        [np.kron(IDENTITY2, p) for p in BELL_BASIS],  # the identity on the wrong qubit
     ], ids=["computational-2q", "computational-3q", "p0-p0", "reversed", "three", "five", "ulp", "i-kron-bell"])
     def test_accepts_only_the_two_bell_bases(self, projectors):
-        with pytest.raises(ValidationError, match="Bell basis"):
-            ProjectiveBasis(projectors)
+        for n in (1, 2, 3):
+            with pytest.raises(ValidationError, match="projectors must be the Bell basis"):
+                branch_probabilities(basis_state(n, 0), projectors)
+            with pytest.raises(ValidationError, match="projectors must be the Bell basis"):
+                measure_projective(basis_state(n, 0), projectors, RandomSource(0))
 
-    @pytest.mark.parametrize("basis", [BELL_BASIS, UA_BELL_BASIS], ids=["bell", "ua-bell"])
-    def test_holds_the_table_it_matches(self, basis):
-        rebuilt = ProjectiveBasis([np.asarray(p) for p in basis])
-        assert rebuilt is not basis and rebuilt.projectors is basis.projectors
-        assert rebuilt._terms == basis._terms
+    @pytest.mark.parametrize("table, n", TABLES, ids=["bell", "ua-bell"])
+    def test_holds_the_table_it_matches(self, table, n):
+        # the register size picks the table, and the terms are its nonzero entries in row-major order
+        terms = tuple(tuple((i, j, x) for i, row in enumerate(p) for j, x in enumerate(row) if x != 0)
+                      for p in table)
+        held, held_terms = measure._BASES[n]
+        assert held is table and held_terms == terms
+        assert all(type(x) is complex for nonzero in held_terms for _, _, x in nonzero)
 
     def test_dimension_must_match_the_state(self):
-        for basis, state in ((BELL_BASIS, basis_state(3, 0)), (BELL_BASIS, basis_state(1, 0)),
-                             (UA_BELL_BASIS, basis_state(2, 0))):
-            with pytest.raises(DimensionError):
-                branch_probabilities(state, basis)
-            with pytest.raises(DimensionError):
-                measure_projective(state, basis, RandomSource(0))
+        for table, n, got in ((BELL_BASIS, 3, 4), (BELL_BASIS, 1, 4), (UA_BELL_BASIS, 2, 8),
+                              (UA_BELL_BASIS, 1, 8), (BENCH_UA_TUPLE, 2, 8)):
+            message = f"projectors must be {2**n}x{2**n} matrices, got {got}"
+            with pytest.raises(DimensionError, match=message):
+                branch_probabilities(basis_state(n, 0), table)
+            with pytest.raises(DimensionError, match=message):
+                measure_projective(basis_state(n, 0), table, RandomSource(0))
 
     def test_stack_is_read_only_and_detached(self):
-        projectors = [np.asarray(p) for p in BELL_BASIS]
-        basis = ProjectiveBasis(projectors)
-        projectors[0][0, 0] = 7.0
-        assert basis.projectors[0][0][0] == BELL_BASIS.projectors[0][0][0] != 7.0
-        with pytest.raises(TypeError):
-            basis.projectors[0][0][0] = 7.0
-        assert np.shape(basis.projectors) == (4, 4, 4)
+        for table, n in TABLES:
+            assert type(table) is tuple and all(type(p) is Matrix for p in table)
+            assert np.shape(table) == (4, 2**n, 2**n)
+            with pytest.raises(TypeError):
+                table[0][0][0] = 7.0
+            copies = [np.array(p) for p in table]
+            branch_probabilities(basis_state(n, 0), copies)
+            copies[0][0, 0] = 7.0  # nothing of the copy is kept, and it is compared again on each call
+            with pytest.raises(ValidationError, match="Bell basis"):
+                branch_probabilities(basis_state(n, 0), copies)
+            assert table[0][0][0] != 7.0
 
     def test_same_results_as_a_plain_sequence(self):
         # bench/layers.py measures against BENCH_UA_TUPLE: it must give UA_BELL_BASIS's bits
         rng = np.random.default_rng(11)
-        for state in _states(rng, 3):
-            assert branch_probabilities(state, BENCH_UA_TUPLE) == branch_probabilities(state, UA_BELL_BASIS)
-            for seed in (0, 5):
-                k1, c1, p1 = measure_projective(state, UA_BELL_BASIS, RandomSource(seed))
-                k2, c2, p2 = measure_projective(state, BENCH_UA_TUPLE, RandomSource(seed))
-                assert (k1, p1) == (k2, p2)
-                assert c1.amps == c2.amps
+        for table, n, other in ((BELL_BASIS, 2, tuple(map(np.asarray, BELL_BASIS))),
+                                (UA_BELL_BASIS, 3, tuple(map(np.asarray, UA_BELL_BASIS))),
+                                (UA_BELL_BASIS, 3, BENCH_UA_TUPLE)):
+            for state in _states(rng, n):
+                assert branch_probabilities(state, other) == branch_probabilities(state, table)
+                for seed in (0, 5):
+                    k1, c1, p1 = measure_projective(state, table, RandomSource(seed))
+                    k2, c2, p2 = measure_projective(state, other, RandomSource(seed))
+                    assert (k1, p1) == (k2, p2)
+                    assert c1.amps == c2.amps
 
-    def test_checked_once_not_per_call(self, bases_built):
-        basis = ProjectiveBasis(BELL_BASIS.projectors)
-        for _ in range(3):
-            branch_probabilities(basis_state(2, 1), basis)
-            measure_projective(basis_state(2, 1), basis, RandomSource(0))
-        assert bases_built[0] == 1
-        branch_probabilities(basis_state(3, 1), BENCH_UA_TUPLE)
-        assert bases_built[0] == 2  # a plain sequence is matched on every call
+    def test_checked_once_not_per_call(self, conversions):
+        for table, n in TABLES:
+            for _ in range(3):
+                branch_probabilities(basis_state(n, 1), table)
+                measure_projective(basis_state(n, 1), table, RandomSource(0))
+        assert conversions[0] == 0  # the tables themselves are taken as they are
+        for calls in (1, 2):
+            branch_probabilities(basis_state(3, 1), BENCH_UA_TUPLE)
+            measure_projective(basis_state(3, 1), BENCH_UA_TUPLE, RandomSource(0))
+            assert conversions[0] == 8 * calls  # a plain sequence: each of its four projectors, on every call
 
-    def test_protocol_runs_build_no_basis(self, bases_built):
+    def test_protocol_runs_build_no_basis(self, conversions):
         u = InputQubit(0.6, 0.8)
         run_teleportation(u, 7)
         for tag in BELL_ORDER:
             run_teleportation(u, 0, force_outcome=tag)
             run_superdense(Message2(*tag.bits))
-        assert bases_built[0] == 0
+        assert all(check.passed for check in verify("all"))
+        assert conversions[0] == 0
 
 
 class TestRandomSource:
