@@ -2,8 +2,10 @@
 
 A ``ProtocolTrace`` is the replayable record of one protocol run: with
 the same protocol, parameters, and seed, the emitted JSON-lines bytes
-are identical. ``STEPS`` lists each protocol's steps, and ``trace_of``
-builds every trace the package makes from it.
+are identical. ``STEPS`` lists each protocol's steps with their payload
+keys; ``trace_of`` builds every trace the package makes from it, naming
+each value by its key, and ``validate_trace`` reports the first step of
+a trace that differs from it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from io import TextIOBase
+from itertools import zip_longest
 
 from .statevec import Record, ValidationError, check_seed
 
@@ -87,19 +90,32 @@ class ProtocolTrace(Record):
         raise ValidationError(f"trace has no {action!r} event")
 
 
-# protocol -> its steps as (actor, action), in the order a run emits them
+# protocol -> its steps as (actor, action, payload keys), in the order a run emits them
 STEPS = {
-    "teleport": (("system", "share-bell-pair"), ("alice", "attach-input"), ("alice", "bell-measurement"),
-                 ("alice", "send-bits"), ("bob", "apply-correction"), ("bob", "verdict")),
-    "superdense": (("system", "share-bell-pair"), ("alice", "encode"), ("alice", "send-qubit"),
-                   ("bob", "bell-measurement"), ("bob", "verdict")),
+    "teleport": (("system", "share-bell-pair", ("pair", "state")),
+                 ("alice", "attach-input", ("input", "state")),
+                 ("alice", "bell-measurement", ("outcome", "bits", "probability")),
+                 ("alice", "send-bits", ("bits",)),
+                 ("bob", "apply-correction", ("correction", "before", "state")),
+                 ("bob", "verdict", ("fidelity",))),
+    "superdense": (("system", "share-bell-pair", ("pair", "state")),
+                   ("alice", "encode", ("message", "unitary", "state")),
+                   ("alice", "send-qubit", ("qubit", "from", "to", "marker")),
+                   ("bob", "bell-measurement", ("outcome", "probability")),
+                   ("bob", "verdict", ("decoded",))),
 }
 
 
-def trace_of(protocol: str, seed: int | None, *payloads: dict[str, object]) -> ProtocolTrace:
-    """A run's trace: step i is ``STEPS[protocol][i - 1]`` with payload i; ValueError unless counts match."""
-    steps = enumerate(zip(STEPS[protocol], payloads, strict=True), start=1)
-    return ProtocolTrace(protocol, seed, tuple(TraceEvent(i, *step, data) for i, (step, data) in steps))
+def trace_of(protocol: str, seed: int | None, *values: tuple) -> ProtocolTrace:
+    """A run's trace: step i is ``STEPS[protocol][i - 1]``, its keys naming ``values[i - 1]``.
+
+    ValueError unless there is one tuple of values per step and one value per key.
+    """
+    steps = enumerate(zip(STEPS[protocol], values, strict=True), start=1)
+    return ProtocolTrace(protocol, seed, tuple(
+        TraceEvent(i, actor, action, dict(zip(keys, data, strict=True)))
+        for i, ((actor, action, keys), data) in steps
+    ))
 
 
 # json.dumps(record, separators=(",", ":")) builds this encoder anew on every call
@@ -124,37 +140,22 @@ def emit_trace(trace: ProtocolTrace, sink: str | os.PathLike | TextIOBase) -> No
     sink.write(text)
 
 
-def _count(trace: ProtocolTrace, action: str) -> int:
-    return sum(1 for e in trace.events if e.action == action)
-
-
 def validate_trace(trace: ProtocolTrace) -> None:
-    """Check the resource ledger of a finished run.
+    """Check a finished run against its protocol's ``STEPS``.
 
-    Teleportation must consume exactly one shared pair and two classical
-    bits and reconstruct exactly one qubit (a fidelity verdict);
-    superdense coding must consume one shared pair and one qubit
-    transfer and end in a decoded message. Every payload, the verdict's
-    too, must be a dict.
+    Every payload must be a dict, and each event's actor, action and
+    payload keys, in order, must be its step's: the first step that
+    differs is reported. Teleportation's classical message must be two bits.
     """
-    verdict = trace.verdict
+    if trace.protocol not in STEPS:
+        raise ValidationError(f"unknown protocol {trace.protocol!r}")
     if not all(isinstance(e.payload, dict) for e in trace.events):
         raise ValidationError("every event payload must be a dict")
-    if _count(trace, "share-bell-pair") != 1:
-        raise ValidationError("trace must consume exactly one shared Bell pair")
+    events = ((e.actor, e.action, tuple(e.payload)) for e in trace.events)
+    for i, (step, got) in enumerate(zip_longest(STEPS[trace.protocol], events, fillvalue="nothing"), start=1):
+        if got != step:
+            raise ValidationError(f"{trace.protocol} step {i} must be {step}, got {got}")
     if trace.protocol == "teleport":
-        sends = [e for e in trace.events if e.action == "send-bits"]
-        if len(sends) != 1:
-            raise ValidationError("teleportation sends exactly one classical message")
-        bits = sends[0].payload.get("bits", "")
+        bits = trace.payload("send-bits")["bits"]
         if not isinstance(bits, str) or len(bits) != 2 or any(c not in "01" for c in bits):
             raise ValidationError(f"classical message must be two bits, got {bits!r}")
-        if "fidelity" not in verdict:
-            raise ValidationError("teleportation verdict must record a fidelity")
-    elif trace.protocol == "superdense":
-        if _count(trace, "send-qubit") != 1:
-            raise ValidationError("superdense coding sends exactly one qubit")
-        if "decoded" not in verdict:
-            raise ValidationError("superdense verdict must record the decoded message")
-    else:
-        raise ValidationError(f"unknown protocol {trace.protocol!r}")

@@ -76,10 +76,9 @@ def run_superdense(message: Message2) -> ProtocolTrace:
 
     return trace_of(
         "superdense", None,
-        {"pair": "phi+", "state": resource.to_json()},
-        {"message": str(message), "unitary": unitary_name,
-         "state": encoded.to_json()},
-        {"qubit": 1, "from": "alice", "to": "bob", "marker": "QUBIT-SENT"},
-        {"outcome": outcome.value, "probability": prob},
-        {"decoded": str(Message2(*outcome.bits))},
+        ("phi+", resource.to_json()),
+        (str(message), unitary_name, encoded.to_json()),
+        (1, "alice", "bob", "QUBIT-SENT"),
+        (outcome.value, prob),
+        (str(Message2(*outcome.bits)),),
     )

@@ -144,11 +144,10 @@ def run_teleportation(
 
     return trace_of(
         "teleport", seed,
-        {"pair": "phi+", "state": resource.to_json()},
-        {"input": state.to_json(), "state": joint.to_json()},
-        {"outcome": tag.value, "bits": bits, "probability": outcome.probability},
-        {"bits": bits},
-        {"correction": correction_name,
-         "before": bob_before.to_json(), "state": bob_after.to_json()},
-        {"fidelity": fidelity},
+        ("phi+", resource.to_json()),
+        (state.to_json(), joint.to_json()),
+        (tag.value, bits, outcome.probability),
+        (bits,),
+        (correction_name, bob_before.to_json(), bob_after.to_json()),
+        (fidelity,),
     )

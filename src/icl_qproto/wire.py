@@ -109,7 +109,7 @@ def _mirror_run(protocol: str, seed: int, input_qubit, message) -> tuple[str, st
     from .superdense import run_superdense
 
     trace = run_superdense(message)
-    return "QUBIT-SENT", f"decoded={trace.verdict['decoded']}"
+    return trace.payload("send-qubit")["marker"], f"decoded={trace.verdict['decoded']}"
 
 
 def _alice_session(lines, protocol, seed, input_qubit, message) -> str:

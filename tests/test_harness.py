@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import socket
 import statistics
 import threading
@@ -146,8 +147,23 @@ class TestTrace:
         assert paths
         for path in paths:
             header, *records = map(json.loads, path.read_text().splitlines())
-            steps = tuple((r["actor"], r["action"]) for r in records)
+            steps = tuple((r["actor"], r["action"], tuple(r["payload"])) for r in records)
             assert steps == STEPS[header["protocol"]], path.name
+            # read back, the file is a trace the validator accepts, as replay needs
+            events = tuple(TraceEvent(r["step"], r["actor"], r["action"], r["payload"]) for r in records)
+            validate_trace(ProtocolTrace(header["protocol"], header["seed"], events))
+
+    def test_readme_lists_each_steps_actor_action_and_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Trace format\n", 1)[1].split("\n## ", 1)[0]
+        section = re.sub(r"\([^)]*\)", "", section)  # the parenthesized notes
+        _, *listed = re.split(r"^\* `([\w-]+)`[^\n]*\n", section, flags=re.M)
+        documented = {}
+        for protocol, body in zip(listed[::2], listed[1::2]):
+            items = re.split(r"^ +\d+\. ", body, flags=re.M)[1:]
+            ticked = [re.findall(r"`([^`]*)`", item) for item in items]
+            documented[protocol] = tuple((actor, action, tuple(keys)) for actor, action, *keys in ticked)
+        assert documented == STEPS
 
     def test_payload_is_read_by_action(self):
         trace = run_teleportation(InputQubit(0.6, 0.8), 7)
@@ -158,11 +174,17 @@ class TestTrace:
 
     @pytest.mark.parametrize("protocol", sorted(STEPS))
     def test_builder_takes_one_payload_per_step(self, protocol):
-        count = len(STEPS[protocol])
-        assert [e.step for e in trace_of(protocol, None, *[{}] * count).events] == list(range(1, count + 1))
-        for wrong in (count - 1, count + 1):
+        steps = STEPS[protocol]
+        values = [tuple(range(len(keys))) for _, _, keys in steps]
+        events = trace_of(protocol, None, *values).events
+        assert [(e.step, e.actor, e.action, e.payload) for e in events] == [
+            (i, actor, action, dict(zip(keys, range(len(keys)))))
+            for i, (actor, action, keys) in enumerate(steps, start=1)
+        ]
+        one_value_too_many = [values[0] + (None,)] + values[1:]
+        for wrong in (values[:-1], values + [()], one_value_too_many):
             with pytest.raises(ValueError, match="zip"):
-                trace_of(protocol, None, *[{}] * wrong)
+                trace_of(protocol, None, *wrong)
 
     def test_validator_checks_resource_ledger(self):
         trace = run_teleportation(InputQubit(1, 0), 5)
@@ -183,29 +205,50 @@ def _replaced(events, action: str, payload: dict) -> list:
     return [TraceEvent(e.step, e.actor, e.action, payload) if e.action == action else e for e in events]
 
 
+def _keyed(events, action: str, *keys: str) -> list:
+    """``events`` with ``action``'s payload cut down to ``keys``, in that order."""
+    payload = next(e.payload for e in events if e.action == action)
+    return _replaced(events, action, {key: payload[key] for key in keys})
+
+
 _TELEPORT_EVENTS = list(run_teleportation(InputQubit(0.6, 0.8), 7).events)
 _SUPERDENSE_EVENTS = list(run_superdense(Message2(1, 0)).events)
+_BITS_STEP = r"teleport step 4 must be \('alice', 'send-bits', \('bits',\)\)"
 
 
-# (protocol, its events tampered with, the rule that rejects them)
+# (protocol, its events tampered with, the message that rejects them)
 @pytest.mark.parametrize("protocol, events, rule", [
-    ("teleport", _TELEPORT_EVENTS[1:], "exactly one shared Bell pair"),
-    ("superdense", _TELEPORT_EVENTS[:1] + _SUPERDENSE_EVENTS, "exactly one shared Bell pair"),
-    ("teleport", [e for e in _TELEPORT_EVENTS if e.action != "send-bits"], "exactly one classical message"),
-    ("teleport", _TELEPORT_EVENTS[:4] + _TELEPORT_EVENTS[3:], "exactly one classical message"),
+    ("teleport", _TELEPORT_EVENTS[1:], r"teleport step 1 must be \('system', 'share-bell-pair'"),
+    ("superdense", _TELEPORT_EVENTS[:1] + _SUPERDENSE_EVENTS, r"superdense step 2 must be \('alice', 'encode'"),
+    ("teleport", [e for e in _TELEPORT_EVENTS if e.action != "send-bits"], _BITS_STEP),
+    ("teleport", _TELEPORT_EVENTS[:4] + _TELEPORT_EVENTS[3:], r"teleport step 5 must be \('bob', 'apply-correction'"),
     ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", {"bits": "12"}), "must be two bits, got '12'"),
-    ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", {}), "must be two bits, got ''"),
+    ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", {}), _BITS_STEP + r", got \('alice', 'send-bits', \(\)\)"),
     ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", {"bits": 11}), "must be two bits, got 11"),
     ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", {"bits": None}), "must be two bits, got None"),
     ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", {"bits": ["1", "0"]}), r"must be two bits, got \['1'"),
     ("teleport", _replaced(_TELEPORT_EVENTS, "send-bits", None), "every event payload must be a dict"),
     ("teleport", _replaced(_TELEPORT_EVENTS, "verdict", ["fidelity"]), "every event payload must be a dict"),
-    ("teleport", _replaced(_TELEPORT_EVENTS, "verdict", {"decoded": "10"}), "must record a fidelity"),
-    ("superdense", [e for e in _SUPERDENSE_EVENTS if e.action != "send-qubit"], "exactly one qubit"),
-    ("superdense", _replaced(_SUPERDENSE_EVENTS, "verdict", {"fidelity": 1.0}), "must record the decoded"),
+    ("teleport", _replaced(_TELEPORT_EVENTS, "verdict", {"decoded": "10"}),
+     r"teleport step 6 must be \('bob', 'verdict', \('fidelity',\)\), got \('bob', 'verdict', \('decoded',\)\)"),
+    ("superdense", [e for e in _SUPERDENSE_EVENTS if e.action != "send-qubit"],
+     r"superdense step 3 must be \('alice', 'send-qubit'"),
+    ("superdense", _replaced(_SUPERDENSE_EVENTS, "verdict", {"fidelity": 1.0}),
+     r"superdense step 5 must be \('bob', 'verdict', \('decoded',\)\), got \('bob', 'verdict', \('fidelity',\)\)"),
     ("bogus", _SUPERDENSE_EVENTS, "unknown protocol 'bogus'"),
+    ("teleport", _keyed(_TELEPORT_EVENTS, "apply-correction", "before", "correction", "state"),
+     r"teleport step 5 must be .*\('correction', 'before', 'state'\)\), "
+     r"got \('bob', 'apply-correction', \('before', 'correction', 'state'\)\)"),
+    ("superdense", _keyed(_SUPERDENSE_EVENTS, "send-qubit", "qubit", "from", "to"),
+     r"superdense step 3 must be .*'marker'\)\), got \('alice', 'send-qubit', \('qubit', 'from', 'to'\)\)"),
+    ("teleport", _replaced(_TELEPORT_EVENTS, "verdict", {"fidelity": 1.0, "decoded": "10"}),
+     r"teleport step 6 must be .*, got \('bob', 'verdict', \('fidelity', 'decoded'\)\)"),
+    ("teleport", [TraceEvent(e.step, "bob", e.action, e.payload) if e.action == "send-bits" else e
+                  for e in _TELEPORT_EVENTS],
+     _BITS_STEP + r", got \('bob', 'send-bits', \('bits',\)\)"),
 ], ids=["no-pair", "two-pairs", "no-bits", "two-bits", "bits-12", "bits-missing",
-        "bits-int", "bits-none", "bits-list", "payload-none", "verdict-list", "no-fidelity", "no-qubit", "no-decoded", "unknown-protocol"])
+        "bits-int", "bits-none", "bits-list", "payload-none", "verdict-list", "no-fidelity", "no-qubit", "no-decoded",
+        "unknown-protocol", "correction-keys-swapped", "no-marker", "verdict-both-keys", "bits-from-bob"])
 def test_validator_rejects_each_broken_ledger(protocol, events, rule):
     with pytest.raises(ValidationError, match=rule):
         validate_trace(_renumbered(protocol, events))
